@@ -4,7 +4,8 @@ The paper's complexity metric is communication round-trips per operation.
 :func:`measure_latency` replays a workload against a register system and
 reports, per operation kind, the worst/mean rounds used — cross-checked
 against the wire (the message trace) so the engine cannot misreport its own
-round count.
+round count.  The cross-check folds the wire rounds of every operation in
+one pass over the trace, so accounting is linear in ops + trace length.
 """
 
 from __future__ import annotations
@@ -67,13 +68,14 @@ class LatencyReport:
 
 def _account_rounds(simulator, trace, report: LatencyReport, verify_against_wire: bool) -> None:
     """Fold every executed operation's round count into ``report``."""
+    wire_rounds = trace.rounds_by_op() if verify_against_wire else None
     for operation in simulator.operations:
         if operation.status is not OperationStatus.COMPLETE:
             report.incomplete += 1
             continue
         rounds = operation.rounds_used
-        if verify_against_wire:
-            on_wire = trace.round_trip_count(operation.op_id)
+        if wire_rounds is not None:
+            on_wire = wire_rounds.get(operation.op_id, 0)
             if on_wire != rounds:
                 raise SpecificationError(
                     f"engine counted {rounds} rounds for {operation.op_id} "

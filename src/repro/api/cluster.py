@@ -630,7 +630,7 @@ def _run_trial_with(spec: TrialSpec, protocol_spec: ProtocolSpec) -> TrialResult
                 "events": report.events,
                 "elapsed_s": round(report.elapsed_s, 6),
             }
-        return TrialResult(
+        result = TrialResult(
             trial=spec.trial,
             seed=spec.recorded_seed,
             write_rounds=list(report.write_rounds),
@@ -644,6 +644,8 @@ def _run_trial_with(spec: TrialSpec, protocol_spec: ProtocolSpec) -> TrialResult
             staleness=staleness,
             obs=obs,
         )
+        backend.simulator.network.close()
+        return result
 
 
 def run_trial(spec: TrialSpec) -> TrialResult:

@@ -157,6 +157,15 @@ class Network:
         """Remove a process (it stops receiving; models a crashed client)."""
         self._handlers.pop(pid, None)
 
+    def close(self) -> None:
+        """Drop every handler and the listener once the run is over.
+
+        They reach back into this network and the simulator; that cycle
+        would keep a finished run in memory until the next full collection.
+        """
+        self._handlers.clear()
+        self.quiescence_listener = None
+
     @property
     def held_messages(self) -> tuple[HeldMessage, ...]:
         """Messages currently parked in transit."""

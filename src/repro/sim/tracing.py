@@ -111,7 +111,8 @@ class MessageTrace:
     are kept as plain ``(time, kind, message)`` tuples in :attr:`entries`;
     the :class:`TraceEvent` view the public API exposes is materialized
     lazily (and cached) by :attr:`events`.  Both views present the same
-    record in the same order.
+    record in the same order.  Every query is one O(trace) pass over
+    :attr:`entries`; round accounting makes one per run (:meth:`rounds_by_op`).
     """
 
     __slots__ = ("entries", "_materialized")
@@ -189,24 +190,25 @@ class MessageTrace:
             and message.dst == dst
         ]
 
+    def rounds_by_op(self) -> dict[OperationId, int]:
+        """Rounds observed on the wire per operation, folded in one pass.
+
+        An operation's wire rounds are the highest round number among its
+        non-reply sends (rounds count from 1); ops that sent nothing are absent.
+        """
+        rounds: dict[OperationId, int] = {}
+        seen = rounds.get
+        send = TraceKind.SEND
+        for _, kind, message in self.entries:
+            if kind is send and not message.is_reply:
+                round_no = message.round_no
+                if round_no > seen(message.op, 0):
+                    rounds[message.op] = round_no
+        return rounds
+
     def round_trip_count(self, op_id: OperationId) -> int:
-        """Rounds observed on the wire for ``op_id`` (max round number sent)."""
-        rounds = {
-            message.round_no
-            for _, kind, message in self.entries
-            if kind is TraceKind.SEND
-            and not message.is_reply
-            and message.op == op_id
-        }
-        return max(rounds, default=0)
-
-
-def merge_transcripts(traces: Iterable[MessageTrace], op_id: OperationId) -> tuple[TranscriptEntry, ...]:
-    """Union of transcripts for ``op_id`` across several traces, sorted."""
-    entries: list[TranscriptEntry] = []
-    for trace in traces:
-        entries.extend(trace.client_transcript(op_id))
-    return tuple(sorted(entries, key=lambda e: (e.round_no, e.source, e.payload_items)))
+        """Rounds observed on the wire for ``op_id`` (0 if it sent nothing)."""
+        return self.rounds_by_op().get(op_id, 0)
 
 
 def trace_fingerprint(trace: MessageTrace) -> str:

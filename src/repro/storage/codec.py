@@ -110,28 +110,21 @@ def decode_state(data: bytes) -> Any:
     return _unpack(json.loads(data.decode("utf-8")))
 
 
-def count_timestamps(value: Any) -> set[Timestamp]:
-    """Collect the distinct :class:`Timestamp` leaves inside ``value``.
+def count_timestamps(data: bytes) -> set[Timestamp]:
+    """Collect the distinct :class:`Timestamp` leaves inside one encoded state.
 
     The space meter reports *timestamps retained* per object — the unit the
-    space-bounds literature counts — so this walks a decoded state and
-    gathers every timestamp, including those inside tagged values.
+    space-bounds literature counts.  Every JSON object the codec writes is a
+    single-key tag, so each ``{"ts": [seq, writer]}`` object is exactly one
+    timestamp (those inside tagged values included).  The parser's object
+    hook picks them out without rebuilding the state as Python objects.
     """
-    found: set[Timestamp] = set()
-    _walk_timestamps(value, found)
-    return found
+    pairs: set[tuple[int, int]] = set()
 
+    def note(tagged: dict[str, Any]) -> None:
+        ts = tagged.get("ts")
+        if ts is not None:
+            pairs.add((ts[0], ts[1]))
 
-def _walk_timestamps(value: Any, found: set[Timestamp]) -> None:
-    if isinstance(value, Timestamp):
-        found.add(value)
-    elif isinstance(value, TaggedValue):
-        found.add(value.ts)
-        _walk_timestamps(value.value, found)
-    elif isinstance(value, dict):
-        for key, item in value.items():
-            _walk_timestamps(key, found)
-            _walk_timestamps(item, found)
-    elif isinstance(value, (list, tuple, set, frozenset)):
-        for item in value:
-            _walk_timestamps(item, found)
+    json.loads(data, object_hook=note)
+    return {Timestamp(seq, writer) for seq, writer in pairs}

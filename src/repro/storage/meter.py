@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.storage.codec import count_timestamps, decode_state
+from repro.storage.codec import count_timestamps
 from repro.storage.durable import StorageRuntime
 from repro.storage.stable import StableStorage
 from repro.types import Timestamp
@@ -25,7 +25,7 @@ from repro.types import Timestamp
 def _distinct_timestamps(store: StableStorage) -> int:
     found: set[Timestamp] = set()
     for _key, value in store.records():
-        found |= count_timestamps(decode_state(value))
+        found |= count_timestamps(value)
     return len(found)
 
 

@@ -2,13 +2,17 @@
 
 import pytest
 
-from repro.analysis.metrics import measure_latency
+from repro.analysis.metrics import measure_backend_latency, measure_latency
 from repro.analysis.tables import Table, format_table
+from repro.api import get_spec
+from repro.api.backends import BackendRequest, get_backend_spec
 from repro.cost.model import CloudCostModel
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SpecificationError
 from repro.registers.abd import AbdProtocol
 from repro.registers.base import RegisterSystem
-from repro.workloads.generator import WorkloadGenerator
+from repro.sim.simulator import OperationStatus
+from repro.sim.tracing import TraceKind
+from repro.workloads.generator import WorkloadGenerator, apply_plan
 
 
 class TestMetrics:
@@ -40,6 +44,77 @@ class TestMetrics:
         report = measure_latency(system, [])
         assert report.worst_read == 0
         assert report.mean_write == 0.0
+
+
+class CountingEntries(list):
+    """A trace log that counts how many times it is iterated."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+class TestAccountingCost:
+    """Round accounting is one pass over the trace, whatever the op count.
+
+    Timing-free: a per-operation wire lookup (the quadratic this guards
+    against) would iterate the trace once per completed operation.
+    """
+
+    @pytest.mark.parametrize("engine", ["event", "batched"])
+    @pytest.mark.parametrize("operations", [100, 2000])
+    def test_accounting_iterates_the_trace_once(self, engine, operations):
+        system = RegisterSystem(AbdProtocol(), t=1, n_readers=4, engine=engine)
+        system.trace.entries = CountingEntries()
+        plans = WorkloadGenerator(seed=5, n_readers=4, read_fraction=0.9).plan(operations)
+        report = measure_latency(system, plans)
+        assert len(report.read_rounds) + len(report.write_rounds) == operations
+        assert len(system.trace.entries) > operations
+        assert system.trace.entries.passes <= 1
+
+
+def _tamper_with_last_round(simulator, trace, how):
+    """Make the engine's and the wire's round counts disagree for one op."""
+    operation = next(
+        op for op in simulator.operations if op.status is OperationStatus.COMPLETE
+    )
+    if how == "bump-rounds":
+        operation.rounds.append(operation.rounds[-1])
+        return
+    last = operation.rounds_used
+    trace.entries[:] = [
+        (time, kind, message)
+        for time, kind, message in trace.entries
+        if not (kind is TraceKind.SEND and message.op == operation.op_id
+                and message.round_no == last)
+    ]
+
+
+class TestWireCrossCheck:
+    """The engine cannot misreport its own round count."""
+
+    @pytest.mark.parametrize("how", ["bump-rounds", "drop-sends"])
+    def test_measure_latency_raises_on_mismatch(self, how):
+        system = RegisterSystem(AbdProtocol(), t=1, n_readers=2)
+        apply_plan(system, WorkloadGenerator(seed=2, spacing=60).plan(6))
+        system.run()
+        _tamper_with_last_round(system.simulator, system.trace, how)
+        with pytest.raises(SpecificationError, match="but the wire shows"):
+            measure_latency(system, [])
+
+    @pytest.mark.parametrize("how", ["bump-rounds", "drop-sends"])
+    def test_measure_backend_latency_raises_on_mismatch(self, how):
+        backend = get_backend_spec("single").build(get_spec("abd"), BackendRequest(), {})
+        for plan in WorkloadGenerator(seed=2, spacing=60).plan(6):
+            backend.schedule(plan)
+        backend.run()
+        _tamper_with_last_round(backend.simulator, backend.trace, how)
+        with pytest.raises(SpecificationError, match="but the wire shows"):
+            measure_backend_latency(backend, [])
 
 
 class TestTables:

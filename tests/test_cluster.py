@@ -1,5 +1,6 @@
 """Tests for the declarative Cluster builder and its structured results."""
 
+import gc
 import json
 
 import pytest
@@ -58,6 +59,22 @@ class TestRun:
         second = cluster.run(trials=2, seed=42).to_dict()
         assert first == second
         assert first != cluster.run(trials=2, seed=43).to_dict()
+
+    def test_finished_trial_is_freed_without_the_cycle_collector(self):
+        """A trial's wire log and operations die with it, not at the next
+        full collection — otherwise back-to-back trials stack in memory."""
+
+        def cyclic_garbage(operations):
+            cluster = Cluster("abd").with_workload(operations=operations)
+            gc.collect()
+            gc.disable()
+            try:
+                cluster.run(trials=1, seed=1)
+                return gc.collect()
+            finally:
+                gc.enable()
+
+        assert cyclic_garbage(400) == cyclic_garbage(20)
 
     def test_trials_use_consecutive_seeds(self):
         result = Cluster("abd").run(trials=3, seed=10)

@@ -68,7 +68,7 @@ class TestCodec:
             "log": [Timestamp(seq=1), Timestamp(seq=2, writer=1)],
             "nested": {"deep": (Timestamp(seq=3),)},
         }
-        assert count_timestamps(state) == {
+        assert count_timestamps(encode_state(state)) == {
             Timestamp(seq=1),
             Timestamp(seq=2, writer=1),
             Timestamp(seq=3),

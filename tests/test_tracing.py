@@ -8,7 +8,7 @@ from repro.faults.schedules import WithholdFrom
 from repro.registers.abd import AbdProtocol
 from repro.registers.base import RegisterSystem
 from repro.registers.fast_regular import FastRegularProtocol
-from repro.sim.tracing import MessageTrace, TraceKind, dump_trace_jsonl, merge_transcripts
+from repro.sim.tracing import MessageTrace, TraceKind, dump_trace_jsonl
 from repro.types import object_id, scoped_operation_serials
 
 
@@ -60,11 +60,6 @@ class TestTraceQueries:
         b = [(e.round_no, e.source, e.payload_items)
              for e in system_b.trace.client_transcript(read_b.op_id)]
         assert a == b
-
-    def test_merge_transcripts(self):
-        system, _, read_op = run_abd()
-        merged = merge_transcripts([system.trace], read_op.op_id)
-        assert merged == system.trace.client_transcript(read_op.op_id)
 
     def test_event_kinds_recorded(self):
         system, _, _ = run_abd()
