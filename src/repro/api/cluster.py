@@ -1493,6 +1493,7 @@ class Cluster:
         symmetry: bool = False,
         parallel: bool = False,
         max_workers: int | None = None,
+        memo: "Any" = None,
     ) -> "Any":
         """Bounded model check: sweep held-message schedules for violations.
 
@@ -1519,6 +1520,11 @@ class Cluster:
         each configured fault fires (swept per object over the traffic it
         actually handled); ``symmetry=True`` folds hold sets that differ
         only by a permutation of interchangeable fault-free objects.
+
+        ``memo`` is a :class:`~repro.explore.engine.ScheduleMemo` bound to
+        this configuration: decision sets it already holds are re-checked
+        instead of simulated (the robustness frontier shares one across
+        its rungs).
         """
         from repro.explore.engine import explore_probe
 
@@ -1536,6 +1542,7 @@ class Cluster:
             symmetry=symmetry,
             parallel=parallel,
             max_workers=max_workers,
+            memo=memo,
         )
 
     def frontier(

@@ -18,8 +18,9 @@ Three layers:
   timing* an explorer choice point as well;
 * :mod:`repro.explore.engine` — :class:`ScheduleProbe` (plain-data
   schedule descriptions, pool-parallelizable like trial specs),
-  :func:`run_schedule`, and the :class:`Explorer` frontier with sleep-set
-  and transcript-hash partial-order reductions;
+  :func:`run_schedule`, the :class:`Explorer` frontier with sleep-set
+  and transcript-hash partial-order reductions, and the
+  :class:`ScheduleMemo` a robustness-frontier walk shares across rungs;
 * :mod:`repro.explore.witness` — delta-debugged minimization plus JSON
   round-tripping and deterministic replay.
 
@@ -40,6 +41,7 @@ from repro.explore.engine import (
     Explorer,
     ExploreResult,
     ExploreStats,
+    ScheduleMemo,
     ScheduleOutcome,
     ScheduleProbe,
     explore_probe,
@@ -58,6 +60,7 @@ __all__ = [
     "Explorer",
     "ExploreResult",
     "ExploreStats",
+    "ScheduleMemo",
     "ScheduleOutcome",
     "ScheduleProbe",
     "explore_probe",

@@ -56,7 +56,7 @@ import pickle
 import warnings
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Any, Sequence
+from typing import Any, Mapping, Sequence
 
 from repro.api.backends import BackendRequest, get_backend_spec
 from repro.api.registry import get_spec
@@ -193,6 +193,12 @@ class ScheduleOutcome:
     #: ``0..seen`` is a distinct adversary within this schedule's traffic.
     #: Empty for fault-free and scenario-driven probes.
     fault_counts: tuple[tuple[int, int], ...] = ()
+    #: The recorded per-key histories the checks ran on, kept so a
+    #: :class:`ScheduleMemo` hit can be re-checked under other models
+    #: without simulating again.  Not part of equality or the payload.
+    histories: Mapping[str, Any] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def violating(self) -> bool:
@@ -288,7 +294,7 @@ def run_schedule(probe: ScheduleProbe) -> ScheduleOutcome:
     or on a pool worker): the system is built fresh, operation serials are
     scoped, and the fault behaviours are materialized per run.
     """
-    from repro.api.cluster import _materialize_behaviors, run_check
+    from repro.api.cluster import _materialize_behaviors
 
     holds = tuple(d for d in probe.decisions if isinstance(d, HoldLink))
     triggers = tuple(d for d in probe.decisions if isinstance(d, FaultTrigger))
@@ -322,14 +328,7 @@ def run_schedule(probe: ScheduleProbe) -> ScheduleOutcome:
             events = probe.max_events
             truncated = True
         histories = backend.histories()
-        failures: list[tuple[str, str]] = []
-        passed: list[str] = []
-        for name in probe.checks:
-            verdict = run_check(name, histories)
-            if verdict.ok:
-                passed.append(name)
-            else:
-                failures.append((name, verdict.explanation or "check failed"))
+        failures, passed = _run_checks(probe.checks, histories)
         operations = backend.simulator.operations
         completed = sum(
             1 for op in operations if op.status is OperationStatus.COMPLETE
@@ -346,8 +345,8 @@ def run_schedule(probe: ScheduleProbe) -> ScheduleOutcome:
             ))
         return ScheduleOutcome(
             decisions=probe.decisions,
-            failures=tuple(failures),
-            passed=tuple(passed),
+            failures=failures,
+            passed=passed,
             completed=completed,
             incomplete=len(operations) - completed - dropped,
             dropped=dropped,
@@ -357,7 +356,52 @@ def run_schedule(probe: ScheduleProbe) -> ScheduleOutcome:
             trace_hash=_fingerprint(backend.trace),
             expansions=policy.delivered_links,
             fault_counts=fault_counts,
+            histories=histories,
         )
+
+
+def _run_checks(
+    checks: Sequence[str], histories: Mapping[str, Any]
+) -> tuple[tuple[tuple[str, str], ...], tuple[str, ...]]:
+    """``(failures, passed)`` of ``checks`` on one schedule's histories."""
+    from repro.api.cluster import run_check
+
+    failures: list[tuple[str, str]] = []
+    passed: list[str] = []
+    for name in checks:
+        verdict = run_check(name, histories)
+        if verdict.ok:
+            passed.append(name)
+        else:
+            failures.append((name, verdict.explanation or "check failed"))
+    return tuple(failures), tuple(passed)
+
+
+class ScheduleMemo:
+    """Simulated schedules of one configuration, shared across explorations.
+
+    A robustness-frontier walk explores the same configuration once per
+    consistency model, and only the checks differ between those
+    explorations.  The memo keeps each simulated outcome (with its
+    histories) under its canonical decision tuple, so a later exploration
+    re-checks a known schedule instead of simulating it again.  It is
+    bound to one probe with its ``checks`` cleared; an explorer over any
+    other configuration is refused.
+    """
+
+    __slots__ = ("probe", "outcomes")
+
+    def __init__(self, probe: ScheduleProbe) -> None:
+        self.probe = replace(probe, checks=())
+        self.outcomes: dict[tuple[Decision, ...], ScheduleOutcome] = {}
+
+    def require(self, probe: ScheduleProbe) -> None:
+        """Raise unless ``probe`` differs from the bound one in checks only."""
+        if replace(probe, checks=()) != self.probe:
+            raise ConfigurationError(
+                "a schedule memo serves the one configuration it was bound "
+                "to; only the checks may differ between its explorations"
+            )
 
 
 # --------------------------------------------------------------------- #
@@ -378,6 +422,7 @@ class ExploreStats:
     truncated_runs: int = 0
     deepest: int = 0
     minimization_runs: int = 0
+    memo_hits: int = 0         # explored schedules re-checked, not simulated
 
     def to_dict(self) -> dict[str, int]:
         payload = {
@@ -394,6 +439,9 @@ class ExploreStats:
             # Only symmetry-reduced explorations carry the key, so every
             # pre-existing payload stays byte-identical.
             payload["pruned_symmetry"] = self.pruned_symmetry
+        if self.memo_hits:
+            # Likewise only explorations sharing a ScheduleMemo.
+            payload["memo_hits"] = self.memo_hits
         return payload
 
 
@@ -555,6 +603,9 @@ class Explorer:
             representative.  Only sound when nothing else distinguishes
             those objects, so it is ignored for scenario, planned-schedule,
             repair and spare-carrying probes.
+        memo: a :class:`ScheduleMemo` bound to this configuration; known
+            decision sets are re-checked from it instead of simulated, and
+            every simulated one is added to it.
     """
 
     def __init__(
@@ -568,6 +619,7 @@ class Explorer:
         stop_on_violation: bool = False,
         fault_timing: bool = False,
         symmetry: bool = False,
+        memo: ScheduleMemo | None = None,
     ) -> None:
         if probe.decisions:
             raise ConfigurationError("the explorer starts from the empty schedule")
@@ -581,7 +633,11 @@ class Explorer:
             )
         if max_holds < 0 or max_schedules < 1:
             raise ConfigurationError("bounds must be positive")
+        if memo is not None:
+            memo.require(probe)
         self.probe = probe
+        self.memo = memo
+        self._memo_hits = 0
         self.max_holds = max_holds
         self.max_schedules = max_schedules
         self.strategy = strategy
@@ -649,20 +705,48 @@ class Explorer:
     # Wave evaluation
     # ------------------------------------------------------------------ #
 
+    def _recall(self, decisions: tuple[Decision, ...]) -> ScheduleOutcome | None:
+        """The memoized outcome of ``decisions``, re-checked under this
+        probe's checks, or ``None`` when it was never simulated."""
+        hit = self.memo.outcomes.get(decisions) if self.memo is not None else None
+        if hit is None:
+            return None
+        self._memo_hits += 1
+        failures, passed = _run_checks(self.probe.checks, hit.histories)
+        return replace(hit, failures=failures, passed=passed)
+
+    def _remember(self, outcome: ScheduleOutcome) -> ScheduleOutcome:
+        if self.memo is not None:
+            self.memo.outcomes[outcome.decisions] = outcome
+        return outcome
+
+    def _outcome(self, decisions: tuple[Decision, ...]) -> ScheduleOutcome:
+        """One schedule's outcome: recalled from the memo, else simulated."""
+        recalled = self._recall(decisions)
+        if recalled is not None:
+            return recalled
+        return self._remember(run_schedule(self.probe.with_decisions(decisions)))
+
     def _evaluate(
         self,
         batch: list[tuple[Decision, ...]],
-        parallel: bool,
         max_workers: int | None,
     ) -> list[ScheduleOutcome]:
-        probes = [self.probe.with_decisions(decisions) for decisions in batch]
-        if parallel and len(probes) > 1:
+        """One wave's outcomes in batch order.  Memo hits resolve
+        in-process; only the misses are simulated, on the process pool."""
+        outcomes = [self._recall(decisions) for decisions in batch]
+        misses = [i for i, outcome in enumerate(outcomes) if outcome is None]
+        probes = [self.probe.with_decisions(batch[i]) for i in misses]
+        fresh = None
+        if len(probes) > 1:
             from repro.api.cluster import _pool_map
 
-            outcomes = _pool_map(probes, max_workers, fn=run_schedule)
-            if outcomes is not None:
-                return outcomes
-        return [run_schedule(probe) for probe in probes]
+            fresh = _pool_map(probes, max_workers, fn=run_schedule)
+        if fresh is None:
+            fresh = [run_schedule(probe) for probe in probes]
+        for i, outcome in zip(misses, fresh):
+            outcomes[i] = self._remember(outcome)
+        return outcomes
 
     # ------------------------------------------------------------------ #
     # Search
@@ -685,7 +769,7 @@ class Explorer:
         # The root runs first, alone and in-process: configuration errors
         # surface immediately, and its outcome seeds S (for reporting) and
         # the expansion alphabet.
-        root_outcome = run_schedule(self.probe)
+        root_outcome = self._outcome(())
         result = self._result_shell()
         stats = result.stats
         violations: list[tuple[tuple[Decision, ...], ScheduleOutcome]] = []
@@ -766,16 +850,13 @@ class Explorer:
                 budget = self.max_schedules - stats.explored
                 batch = [frontier.popleft() for _ in range(min(budget, len(frontier)))]
             if parallel and len(batch) > 1:
-                pairs = zip(batch, self._evaluate(batch, parallel, max_workers))
+                pairs = zip(batch, self._evaluate(batch, max_workers))
             else:
                 # Serial: evaluate lazily so stop_on_violation (and the
                 # schedule budget) cut the wave short without paying for
                 # the unabsorbed tail.  Absorption order is identical to
                 # the parallel path, so results stay byte-identical.
-                pairs = (
-                    (decisions, run_schedule(self.probe.with_decisions(decisions)))
-                    for decisions in batch
-                )
+                pairs = ((decisions, self._outcome(decisions)) for decisions in batch)
             for decisions, outcome in pairs:
                 absorb(decisions, outcome)
                 if stop:
@@ -783,6 +864,7 @@ class Explorer:
 
         result.exhausted = not frontier and not stop and stats.explored <= self.max_schedules
         result.alphabet = len(alphabet) + len(trigger_alphabet)
+        stats.memo_hits = self._memo_hits
         self._attach_witnesses(result, violations)
         return result
 
@@ -870,6 +952,7 @@ def explore_probe(
     symmetry: bool = False,
     parallel: bool = False,
     max_workers: int | None = None,
+    memo: ScheduleMemo | None = None,
 ) -> ExploreResult:
     """Convenience wrapper: build an :class:`Explorer` and run it."""
     explorer = Explorer(
@@ -881,5 +964,6 @@ def explore_probe(
         stop_on_violation=stop_on_violation,
         fault_timing=fault_timing,
         symmetry=symmetry,
+        memo=memo,
     )
     return explorer.run(parallel=parallel, max_workers=max_workers)

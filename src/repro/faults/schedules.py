@@ -11,7 +11,7 @@ not message loss.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Collection, Iterable
+from typing import Collection, Iterable
 
 from repro.sim.network import DeliveryPolicy, FifoDelivery, Message
 from repro.types import OperationId, ProcessId
@@ -95,16 +95,6 @@ class WithholdFrom(DeliveryPolicy):
         if self._targets(message):
             return None
         return self.base.delay(message, now)
-
-
-def predicate_policy(
-    hold_if: Callable[[Message], bool],
-    base: DeliveryPolicy | None = None,
-) -> DeliveryPolicy:
-    """Ad-hoc policy from a predicate (thin wrapper for tests)."""
-    from repro.sim.network import SelectiveHold
-
-    return SelectiveHold(hold_if=hold_if, base=base)
 
 
 @dataclass(frozen=True, slots=True)

@@ -130,13 +130,3 @@ def max_certified(replies: ReplySet, threshold: int, fields: Iterable[str] = ("p
     """Highest certified candidate in one reply set."""
     counts = voucher_counts(replies, fields)
     return max_candidate(certified_candidates(counts, threshold))
-
-
-def newer_reporters(replies: ReplySet, than: TaggedValue, fields: Iterable[str] = ("pw", "w")) -> int:
-    """Objects reporting any pair strictly newer than ``than``."""
-    fields = tuple(fields)
-    count = 0
-    for payload in replies.values():
-        if any(pair.ts > than.ts for pair in reported_pairs(payload, fields)):
-            count += 1
-    return count

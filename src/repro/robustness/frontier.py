@@ -102,7 +102,8 @@ class FrontierResult:
 
     @property
     def schedules(self) -> int:
-        """Total schedules executed across every evaluated rung."""
+        """Total schedules explored across every evaluated rung, counting
+        those a rung re-checked from the walk's memo instead of simulating."""
         return sum(r.stats.explored for r in self.results.values())
 
     def to_dict(self) -> dict[str, Any]:
@@ -164,8 +165,10 @@ class FrontierResult:
             else:
                 lines.append(f"  {self.refuted} unrefuted within bounds "
                              "(no witness — raise the bounds to separate)")
-        lines.append(f"  {self.schedules} schedule(s) executed across "
-                     f"{len(self.results)} rung(s)")
+        hits = sum(r.stats.memo_hits for r in self.results.values())
+        lines.append(f"  {self.schedules} schedule(s) explored across "
+                     f"{len(self.results)} rung(s), "
+                     f"{self.schedules - hits} simulated")
         return "\n".join(lines)
 
 
@@ -240,8 +243,12 @@ def robustness_frontier(
     Each rung is one :meth:`Cluster.explore` over the same workload
     (``seed``) and bounds, with fault-timing choice points swept by
     default, so rungs are comparable and every refutation is a minimized
-    replayable witness.
+    replayable witness.  The rungs share one
+    :class:`~repro.explore.engine.ScheduleMemo`: each distinct decision
+    set is simulated once per walk and only re-checked on later rungs.
     """
+    from repro.explore.engine import ScheduleMemo
+
     cluster = _as_cluster(
         protocol, faults, t=t, S=S, n_readers=n_readers, **cluster_kwargs
     )
@@ -260,6 +267,9 @@ def robustness_frontier(
     }
 
     results: dict[str, "ExploreResult"] = {}
+    memo = ScheduleMemo(cluster._schedule_probe(
+        seed=seed, granularity=granularity, max_events=max_events
+    ))
 
     def evaluate(model: str) -> "ExploreResult":
         if model not in results:
@@ -274,6 +284,7 @@ def robustness_frontier(
                 symmetry=symmetry,
                 parallel=parallel,
                 max_workers=max_workers,
+                memo=memo,
             )
         return results[model]
 

@@ -94,14 +94,40 @@ class TranscriptEntry:
 def _freeze(payload: Mapping[str, Any]) -> tuple[tuple[str, Any], ...]:
     """Canonical hashable form of a reply payload (sorted key/value pairs)."""
     items = []
+    freezers = _FREEZERS
     for key in sorted(payload):
         value = payload[key]
-        if isinstance(value, Mapping):
-            value = _freeze(value)
-        elif isinstance(value, (list, set)):
-            value = tuple(sorted(map(repr, value)))
+        cls = type(value)
+        freezer = freezers[cls] if cls in freezers else _classify(value)
+        if freezer is not None:
+            value = freezer(value)
         items.append((key, value))
     return tuple(items)
+
+
+def _sorted_reprs(values: Any) -> tuple[str, ...]:
+    return tuple(sorted(map(repr, values)))
+
+
+#: How :func:`_freeze` canonicalizes a payload value, by its exact type:
+#: mappings recurse, lists and sets become their sorted member reprs, and
+#: ``None`` keeps the value as it is.  Other types are classified once
+#: through the ABC checks (:func:`_classify`) and cached here.
+_FREEZERS: dict[type, Any] = {
+    kind: None for kind in (str, int, bool, float, type(None), tuple)
+}
+_FREEZERS.update({dict: _freeze, list: _sorted_reprs, set: _sorted_reprs})
+
+
+def _classify(value: Any) -> Any:
+    if isinstance(value, Mapping):
+        freezer = _freeze
+    elif isinstance(value, (list, set)):
+        freezer = _sorted_reprs
+    else:
+        freezer = None
+    _FREEZERS[type(value)] = freezer
+    return freezer
 
 
 class MessageTrace:
@@ -219,25 +245,36 @@ def trace_fingerprint(trace: MessageTrace) -> str:
     and the engine-equivalence suite and benchmarks assert event-vs-batched
     byte-identity through it.  Two traces fingerprint equal exactly when
     they recorded the same observations in the same order.
+
+    The digest covers, per entry, the ``repr`` of ``(time, kind, src, dst,
+    serial, op kind, client, round, tag, is_reply, frozen payload)``.  A
+    message recorded at several trace points (send, then hold or delivery)
+    has its tail rendered once per pass.
     """
     import hashlib
 
-    digest = hashlib.sha256()
+    tails: dict[int, str] = {}
+    kinds = {kind: repr(kind.value) for kind in TraceKind}
+    parts = []
     for time, kind, message in trace.entries:
-        digest.update(repr((
-            time,
-            kind.value,
-            str(message.src),
-            str(message.dst),
-            message.op.serial,
-            message.op.kind,
-            str(message.op.client),
-            message.round_no,
-            message.tag,
-            message.is_reply,
-            _freeze(message.payload),
-        )).encode("utf-8", "backslashreplace"))
-    return digest.hexdigest()[:24]
+        tail = tails.get(id(message))
+        if tail is None:
+            op = message.op
+            tail = repr((
+                str(message.src),
+                str(message.dst),
+                op.serial,
+                op.kind,
+                str(op.client),
+                message.round_no,
+                message.tag,
+                message.is_reply,
+                _freeze(message.payload),
+            ))[1:]
+            tails[id(message)] = tail
+        parts.append(f"({time!r}, {kinds[kind]}, {tail}")
+    joined = "".join(parts).encode("utf-8", "backslashreplace")
+    return hashlib.sha256(joined).hexdigest()[:24]
 
 
 def dump_trace_jsonl(trace: MessageTrace, sink, extra: Mapping[str, Any] | None = None) -> int:

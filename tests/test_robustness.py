@@ -10,7 +10,10 @@ witness — at k-atomic(2).
 
 from __future__ import annotations
 
+import collections
 import dataclasses
+import json
+from unittest import mock
 
 import pytest
 
@@ -21,6 +24,7 @@ from repro.explore import (
     ControlledDelivery,
     FaultTrigger,
     HoldLink,
+    ScheduleMemo,
     canonical_decisions,
     decision_from_json,
 )
@@ -394,3 +398,82 @@ class TestSweepPayload:
         result = sweep(["abd"], scenarios=["crash"], trials=1, operations=4)
         assert result.runs[0].robustness is None
         assert "robustness" not in result.runs[0].to_dict()
+
+
+# --------------------------------------------------------------------- #
+# Schedule memo: one simulation per decision set per walk
+# --------------------------------------------------------------------- #
+
+
+@pytest.fixture(scope="module")
+def counted_walk():
+    """The benchmark's walk, counting every search simulation by decisions."""
+    import repro.explore.engine as engine_module
+
+    calls: collections.Counter = collections.Counter()
+    real = engine_module.run_schedule
+
+    def counting(probe):
+        calls[probe.decisions] += 1
+        return real(probe)
+
+    with mock.patch.object(engine_module, "run_schedule", counting):
+        result = timed_stack().frontier(max_holds=2, max_schedules=3000)
+    return result, calls
+
+
+class TestScheduleMemo:
+    def test_rungs_match_standalone_explorations(self, counted_walk):
+        """Every rung reads exactly as its own exploration would, apart
+        from the memo-hit counter."""
+        walk, _ = counted_walk
+        assert list(walk.results) == ["atomicity", "k-atomic(3)", "k-atomic(2)"]
+        for model, result in walk.results.items():
+            standalone = timed_stack().with_checks(model).explore(
+                max_holds=2, max_schedules=3000, fault_timing=True,
+            )
+            payload = result.to_dict()
+            hits = payload["stats"].pop("memo_hits", 0)
+            assert hits == result.stats.memo_hits
+            assert payload == standalone.to_dict()
+        assert walk.results["atomicity"].stats.memo_hits == 0
+        assert walk.results["k-atomic(2)"].stats.memo_hits > 0
+
+    def test_walk_simulates_each_decision_set_once(self, counted_walk):
+        """Timing-free cost guard: a rung that re-simulates a decision set
+        an earlier rung already ran shows up as a repeated count."""
+        walk, calls = counted_walk
+        assert calls and max(calls.values()) == 1
+        hits = sum(r.stats.memo_hits for r in walk.results.values())
+        assert sum(calls.values()) == walk.schedules - hits
+        assert walk.schedules > 2 * len(calls)
+        assert walk.render().endswith(
+            f"{walk.schedules} schedule(s) explored across 3 rung(s), "
+            f"{len(calls)} simulated"
+        )
+
+    def test_parallel_walk_matches_serial(self, counted_walk):
+        walk, _ = counted_walk
+        parallel = timed_stack().frontier(
+            max_holds=2, max_schedules=3000, parallel=True, max_workers=2,
+        )
+        assert (json.dumps(parallel.to_dict(), sort_keys=True)
+                == json.dumps(walk.to_dict(), sort_keys=True))
+        for model, result in walk.results.items():
+            assert parallel.results[model].to_dict() == result.to_dict()
+
+    def test_memo_refuses_another_configuration(self):
+        cluster = timed_stack()
+        memo = ScheduleMemo(cluster._schedule_probe())
+        first = cluster.with_checks("atomicity").explore(max_holds=1, memo=memo)
+        assert first.stats.memo_hits == 0 and memo.outcomes
+        again = cluster.with_checks("regularity").explore(max_holds=1, memo=memo)
+        assert again.stats.memo_hits == again.stats.explored
+        with pytest.raises(ConfigurationError, match="schedule memo"):
+            underprovisioned_cluster().explore(max_holds=1, memo=memo)
+        with pytest.raises(ConfigurationError, match="schedule memo"):
+            cluster.explore(max_holds=1, max_events=1000, memo=memo)
+
+    def test_explore_payload_has_no_memo_key(self):
+        payload = timed_stack().explore(max_holds=1).to_dict()
+        assert "memo_hits" not in payload["stats"]

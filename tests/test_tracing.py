@@ -3,13 +3,21 @@
 import io
 import json
 
+import pytest
+
 from repro.faults.adversary import SilentBehavior
 from repro.faults.schedules import WithholdFrom
 from repro.registers.abd import AbdProtocol
 from repro.registers.base import RegisterSystem
 from repro.registers.fast_regular import FastRegularProtocol
-from repro.sim.tracing import MessageTrace, TraceKind, dump_trace_jsonl
-from repro.types import object_id, scoped_operation_serials
+from repro.sim.tracing import (
+    MessageTrace,
+    TraceKind,
+    _freeze,
+    dump_trace_jsonl,
+    trace_fingerprint,
+)
+from repro.types import fresh_operation_id, object_id, scoped_operation_serials
 
 
 def run_abd():
@@ -199,3 +207,141 @@ class TestTraceSerialization:
             ),
         )
         assert event.to_dict()["payload"] == {"w": "weird!"}
+
+
+# --------------------------------------------------------------------- #
+# Fingerprint parity against the original per-entry implementation
+# --------------------------------------------------------------------- #
+
+
+def _reference_freeze(payload):
+    """The original ``_freeze``: ABC ``isinstance`` checks on every value."""
+    from collections.abc import Mapping
+
+    items = []
+    for key in sorted(payload):
+        value = payload[key]
+        if isinstance(value, Mapping):
+            value = _reference_freeze(value)
+        elif isinstance(value, (list, set)):
+            value = tuple(sorted(map(repr, value)))
+        items.append((key, value))
+    return tuple(items)
+
+
+def _reference_fingerprint(trace):
+    """The original ``trace_fingerprint``: one ``repr`` and update per entry."""
+    import hashlib
+
+    digest = hashlib.sha256()
+    for time, kind, message in trace.entries:
+        digest.update(repr((
+            time,
+            kind.value,
+            str(message.src),
+            str(message.dst),
+            message.op.serial,
+            message.op.kind,
+            str(message.op.client),
+            message.round_no,
+            message.tag,
+            message.is_reply,
+            _reference_freeze(message.payload),
+        )).encode("utf-8", "backslashreplace"))
+    return digest.hexdigest()[:24]
+
+
+class TestFingerprintParity:
+    """The fast fingerprint hashes exactly the bytes the original did."""
+
+    @pytest.mark.parametrize("engine", ["event", "batched"])
+    def test_explorer_traces(self, engine, monkeypatch):
+        import repro.explore.engine as engine_module
+        from repro.api import Cluster
+
+        pairs = []
+
+        def both(trace):
+            fast = trace_fingerprint(trace)
+            pairs.append((fast, _reference_fingerprint(trace)))
+            return fast
+
+        monkeypatch.setattr(engine_module, "_fingerprint", both)
+        (
+            Cluster("atomic-fast-regular", t=1, S=4, allow_overfault=True,
+                    engine=engine)
+            .with_faults("stale-echo", count=1)
+            .with_faults("timed", count=1, inner="stale-echo", at=99)
+            .with_operations([("write", "v1", 0), ("read", 1, 100)])
+            .check("atomicity")
+            .explore(max_holds=1, fault_timing=True)
+        )
+        assert len(pairs) > 10
+        assert all(fast == reference for fast, reference in pairs)
+
+    def test_cluster_run_trace(self):
+        from repro.api import Cluster
+
+        result = (
+            Cluster("atomic-fast-regular", t=2)
+            .with_faults("stale-echo", count=2)
+            .with_workload(operations=20, spacing=15)
+            .run(trials=1, keep_trace=True)
+        )
+        trace = result.trials[0].trace
+        assert len(trace.entries) > 100
+        assert trace_fingerprint(trace) == _reference_fingerprint(trace)
+
+    def test_hand_built_payloads(self):
+        import collections
+        import dataclasses
+        import types
+
+        from repro.sim.network import Message
+        from repro.types import Timestamp, reader_id, writer_id
+
+        Pair = collections.namedtuple("Pair", "left right")
+
+        @dataclasses.dataclass(frozen=True)
+        class Tagged:
+            ts: Timestamp
+            value: str
+
+        payload = {
+            "nested": {"b": [3, 1, 2], "a": {"deep": {"x", "y"}}},
+            "proxy": types.MappingProxyType({"z": 1, "k": [2, 1]}),
+            "list": ["b", "a"],
+            "set": {3, 1, 2},
+            "tuple": (2, 1),
+            "pair": Pair(1, "two"),
+            "flag": True,
+            "count": 7,
+            "none": None,
+            "ratio": 0.5,
+            "tagged": Tagged(Timestamp(2), "v"),
+            "text": "wért ☃ \udcff",
+        }
+        assert _freeze(payload) == _reference_freeze(payload)
+
+        trace = MessageTrace()
+        with scoped_operation_serials():
+            op = fresh_operation_id(reader_id(1), "read")
+            message = Message(src=reader_id(1), dst=object_id(2), op=op,
+                              round_no=2, tag="READ", payload=payload)
+            reply = Message(src=object_id(2), dst=reader_id(1), op=op,
+                            round_no=2, tag="ACK", is_reply=True,
+                            payload={"ts": Timestamp(1), "val": "ü"})
+            other = Message(src=writer_id(), dst=object_id(1),
+                            op=fresh_operation_id(writer_id(), "write"), round_no=1,
+                            tag="W", payload={})
+        trace.record_send(0, message)
+        trace.record_send_batch(0, [other])
+        trace.record_hold(1, message)
+        trace.record_delivery(4, message)
+        trace.record_send(5, reply)
+        trace.record_drop(6, reply)
+        trace.record_delivery(7, other)
+        assert trace_fingerprint(trace) == _reference_fingerprint(trace)
+        assert trace_fingerprint(MessageTrace()) == _reference_fingerprint(
+            MessageTrace()
+        )
