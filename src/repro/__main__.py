@@ -43,6 +43,9 @@ Commands:
   configuration over every bounded schedule or refute it with a minimized,
   replayable witness (exit 1 on violations, inverted by
   ``--expect-violation``).
+* ``frontier`` --protocol NAME [--max-k K] [--expect-strongest MODEL] … —
+  certify the strongest consistency model the configuration serves.
+  ``run``, ``explore`` and ``frontier`` take the same system-shape flags.
 * ``replay`` WITNESS.json — re-execute a saved schedule witness and
   re-check it; exit 0 iff the recorded violation reproduces byte-identically
   (same failed checks, same wire-trace fingerprint).
@@ -271,9 +274,9 @@ def _checks_from_args(args: argparse.Namespace) -> tuple[str, ...]:
     from repro.errors import ConfigurationError
 
     names = list(args.check or ())
-    if getattr(args, "check_model", None):
+    if args.check_model:
         names.append(args.check_model)
-    k = getattr(args, "k", None)
+    k = args.k
     if not names:
         if k is not None:
             raise ConfigurationError(
@@ -289,11 +292,8 @@ def _checks_from_args(args: argparse.Namespace) -> tuple[str, ...]:
 
 
 def _cluster_from_args(args: argparse.Namespace):
-    """The :class:`~repro.api.Cluster` both ``run`` and ``explore`` build.
-
-    Flags one subcommand lacks (``--scenario``, ``--allow-overfault``,
-    ``--key-skew``) fall back to their no-op defaults via ``getattr``.
-    """
+    """The :class:`~repro.api.Cluster` the shape flags describe (see
+    :func:`_add_shape_flags`); each command adds its own workload."""
     import json
 
     from repro.api import Cluster
@@ -308,14 +308,14 @@ def _cluster_from_args(args: argparse.Namespace):
         keys=args.keys,
         n_writers=args.writers_count,
         engine=args.engine,
-        durability=getattr(args, "durability", "none"),
-        consistency=getattr(args, "consistency", "atomic"),
-        allow_overfault=getattr(args, "allow_overfault", False),
+        durability=args.durability,
+        consistency=args.consistency,
+        allow_overfault=args.allow_overfault,
     )
-    if getattr(args, "scenario", None):
+    if args.scenario:
         cluster = cluster.with_scenario(args.scenario)
     fault_kwargs = {}
-    for item in getattr(args, "fault_arg", None) or ():
+    for item in args.fault_arg or ():
         key, sep, value = item.partition("=")
         if not sep or not key:
             raise ConfigurationError(f"--fault-arg expects KEY=VALUE, got {item!r}")
@@ -333,7 +333,7 @@ def _cluster_from_args(args: argparse.Namespace):
             "--fault-arg/--count/--strict have no effect without --faults"
         )
     repairs = []
-    for item in getattr(args, "repair", None) or ():
+    for item in args.repair or ():
         member, sep, at = item.partition("@")
         if not sep or not member or not at:
             raise ConfigurationError(f"--repair expects MEMBER@AT, got {item!r}")
@@ -343,23 +343,25 @@ def _cluster_from_args(args: argparse.Namespace):
             raise ConfigurationError(
                 f"--repair expects integers, got {item!r}"
             ) from None
-    spares = getattr(args, "spares", None)
-    xfer_quorum = getattr(args, "xfer_quorum", None)
     if repairs:
-        cluster = cluster.with_repairs(*repairs, spares=spares, xfer_quorum=xfer_quorum)
-    elif spares is not None or xfer_quorum is not None:
+        cluster = cluster.with_repairs(
+            *repairs, spares=args.spares, xfer_quorum=args.xfer_quorum
+        )
+    elif args.spares is not None or args.xfer_quorum is not None:
         raise ConfigurationError(
             "--spares/--xfer-quorum have no effect without --repair"
         )
-    if (
-        getattr(args, "obs", False)
-        or getattr(args, "spans", None)
-        or getattr(args, "metrics", None)
-        or getattr(args, "timeline", None)
-    ):
-        cluster = cluster.with_observe()
+    return cluster
+
+
+def _search_cluster_from_args(args: argparse.Namespace):
+    """The cluster ``explore`` and ``frontier`` search: the shape flags
+    plus the explicit ``--op`` plan, or else the generated workload."""
+    from repro.errors import ConfigurationError
+
+    cluster = _cluster_from_args(args)
     plan = []
-    for item in getattr(args, "op", None) or ():
+    for item in args.op or ():
         head, sep, at = item.rpartition("@")
         kind, sep2, arg = head.partition(":")
         if not sep or not sep2 or kind not in ("write", "read"):
@@ -376,14 +378,18 @@ def _cluster_from_args(args: argparse.Namespace):
     if plan:
         return cluster.with_operations(plan)
     return cluster.with_workload(reads=args.reads, spacing=args.spacing,
-                                 operations=args.ops,
-                                 key_skew=getattr(args, "key_skew", None))
+                                 operations=args.ops)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     import json
 
-    cluster = _cluster_from_args(args)
+    cluster = _cluster_from_args(args).with_workload(
+        reads=args.reads, spacing=args.spacing, operations=args.ops,
+        key_skew=args.key_skew,
+    )
+    if args.obs or args.spans or args.metrics or args.timeline:
+        cluster = cluster.with_observe()
     checks = _checks_from_args(args)
     result = cluster.check(*checks).run(
         trials=args.trials,
@@ -582,7 +588,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
-    cluster = _cluster_from_args(args)
+    cluster = _search_cluster_from_args(args)
     checks = _checks_from_args(args)
     result = cluster.check(*checks).explore(
         max_holds=args.max_holds,
@@ -612,7 +618,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 def _cmd_frontier(args: argparse.Namespace) -> int:
     import json
 
-    cluster = _cluster_from_args(args)
+    cluster = _search_cluster_from_args(args)
     result = cluster.frontier(
         max_k=args.max_k,
         max_holds=args.max_holds,
@@ -693,7 +699,99 @@ def _cmd_summary(_args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+def _add_shape_flags(parser: argparse.ArgumentParser) -> None:
+    """The system-shape and fault flags ``run``, ``explore`` and
+    ``frontier`` share; :func:`_cluster_from_args` reads them."""
+    parser.add_argument("--protocol", required=True,
+                        help="registry name (see list-protocols)")
+    parser.add_argument("--backend", default=None,
+                        help="system backend (see list-backends; default: "
+                             "the protocol's own)")
+    parser.add_argument("--keys", type=int, default=None,
+                        help="key count for keyed backends (e.g. --backend sharded)")
+    parser.add_argument("--writers", dest="writers_count", type=int, default=None,
+                        help="writer family size for multi-writer backends")
+    parser.add_argument("--engine", choices=("event", "batched"), default="event",
+                        help="simulation engine (batched: wave-stepped, "
+                             "identical results, faster)")
+    parser.add_argument("--durability", choices=("none", "mem", "dir"), default="none",
+                        help="object-state durability (mem: in-memory journal, "
+                             "dir: append-only log per object; enables "
+                             "crash-recover faults and the space meter)")
+    parser.add_argument("--consistency", default="atomic", metavar="MODEL",
+                        help="consistency model the backend serves: atomic "
+                             "(default) or k-atomic(N) (bounded-stale reads; "
+                             "routes single/sharded onto the k-atomic backend)")
+    parser.add_argument("--t", type=int, default=1, help="fault threshold")
+    parser.add_argument("--S", type=int, default=None,
+                        help="object count (default: protocol minimum)")
+    parser.add_argument("--readers", type=int, default=2, help="reader population")
+    parser.add_argument("--scenario", default=None,
+                        help="named scenario (fault plan + workload shape)")
+    parser.add_argument("--faults", default=None,
+                        help="fault behaviour name (e.g. crash, stale-echo)")
+    parser.add_argument("--count", type=int, default=1,
+                        help="how many objects misbehave")
+    parser.add_argument("--fault-arg", dest="fault_arg", action="append", default=None,
+                        metavar="KEY=VALUE",
+                        help="fault-behaviour parameter (repeatable; e.g. "
+                             "--fault-arg survive_messages=1 --fault-arg lag=2)")
+    parser.add_argument("--strict", action="store_true",
+                        help="error instead of clamping --count to t")
+    parser.add_argument("--allow-overfault", action="store_true",
+                        help="permit more than t faulty objects "
+                             "(churn/under-provisioned runs)")
+    parser.add_argument("--repair", action="append", default=None, metavar="MEMBER@AT",
+                        help="replace member MEMBER with a spare at time AT "
+                             "(repeatable; needs --backend reconfig)")
+    parser.add_argument("--spares", type=int, default=None,
+                        help="pre-provisioned spare objects (default: one per --repair)")
+    parser.add_argument("--xfer-quorum", type=int, default=None,
+                        help="objects a state-transfer read must reach (default: S-t)")
+
+
+def _add_check_flags(parser: argparse.ArgumentParser) -> None:
+    """The check-selection flags ``run`` and ``explore`` share."""
+    parser.add_argument("--check", action="append", default=None,
+                        help="consistency check to run (repeatable; default: "
+                             "the protocol's own)")
+    parser.add_argument("--check-model", dest="check_model", default=None,
+                        choices=("atomic", "regular", "safe", "k-atomic"),
+                        help="consistency model to check against "
+                             "(shorthand for --check; see list-checkers)")
+    parser.add_argument("--k", type=int, default=None,
+                        help="staleness bound for --check-model/--check k-atomic")
+
+
+def _add_search_flags(parser: argparse.ArgumentParser) -> None:
+    """The workload and search flags ``explore`` and ``frontier`` share."""
+    parser.add_argument("--ops", type=int, default=3,
+                        help="operations in the generated workload")
+    parser.add_argument("--reads", type=float, default=0.6, help="read fraction")
+    parser.add_argument("--spacing", type=int, default=50,
+                        help="mean gap between invocations")
+    parser.add_argument("--op", action="append", default=None,
+                        metavar="KIND:ARG@TIME",
+                        help="explicit operation plan entry (repeatable; "
+                             "write:VALUE@TIME or read:READER@TIME; "
+                             "overrides the generated workload)")
+    parser.add_argument("--seed", type=int, default=0, help="workload seed")
+    parser.add_argument("--max-events", type=int, default=200_000,
+                        help="simulator event budget per schedule")
+    parser.add_argument("--granularity", choices=("operation", "round"),
+                        default="operation", help="hold-link granularity")
+    parser.add_argument("--strategy", choices=("bfs", "dfs"), default="bfs",
+                        help="frontier order")
+    parser.add_argument("--symmetry", action="store_true",
+                        help="canonicalize schedules over interchangeable "
+                             "fault-free objects (prunes symmetric twins)")
+    parser.add_argument("--parallel", action="store_true",
+                        help="evaluate frontier waves on a process pool")
+    parser.add_argument("--workers", type=int, default=None,
+                        help="process-pool size with --parallel")
+
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -721,61 +819,15 @@ def main(argv: list[str] | None = None) -> int:
                            help="threshold the fault plans are sized for")
 
     run = sub.add_parser("run", help="run a registry-driven experiment")
-    run.add_argument("--protocol", required=True, help="registry name (see list-protocols)")
-    run.add_argument("--backend", default=None,
-                     help="system backend (see list-backends; default: the protocol's own)")
-    run.add_argument("--keys", type=int, default=None,
-                     help="key count for keyed backends (e.g. --backend sharded)")
-    run.add_argument("--writers", dest="writers_count", type=int, default=None,
-                     help="writer family size for multi-writer backends")
+    _add_shape_flags(run)
     run.add_argument("--key-skew", type=float, default=0.0,
                      help="Zipf-style key skew for keyed workloads (0 = uniform)")
-    run.add_argument("--engine", choices=("event", "batched"), default="event",
-                     help="simulation engine (batched: wave-stepped, "
-                          "identical results, faster)")
-    run.add_argument("--durability", choices=("none", "mem", "dir"), default="none",
-                     help="object-state durability (mem: in-memory journal, "
-                          "dir: append-only log per object; enables "
-                          "crash-recover faults and the space meter)")
-    run.add_argument("--consistency", default="atomic", metavar="MODEL",
-                     help="consistency model the backend serves: atomic "
-                          "(default) or k-atomic(N) (bounded-stale reads; "
-                          "routes single/sharded onto the k-atomic backend)")
-    run.add_argument("--t", type=int, default=1, help="fault threshold")
-    run.add_argument("--S", type=int, default=None, help="object count (default: protocol minimum)")
-    run.add_argument("--readers", type=int, default=2, help="reader population")
-    run.add_argument("--scenario", default=None,
-                     help="named scenario (fault plan + workload shape)")
-    run.add_argument("--faults", default=None, help="fault behaviour name (e.g. crash, stale-echo)")
-    run.add_argument("--count", type=int, default=1, help="how many objects misbehave")
-    run.add_argument("--fault-arg", dest="fault_arg", action="append", default=None,
-                     metavar="KEY=VALUE",
-                     help="fault-behaviour parameter (repeatable; e.g. "
-                          "--fault-arg survive_messages=1 --fault-arg lag=2)")
-    run.add_argument("--strict", action="store_true",
-                     help="error instead of clamping --count to t")
-    run.add_argument("--allow-overfault", action="store_true",
-                     help="permit more than t faulty objects (churn/under-provisioned runs)")
-    run.add_argument("--repair", action="append", default=None, metavar="MEMBER@AT",
-                     help="replace member MEMBER with a spare at time AT "
-                          "(repeatable; needs --backend reconfig)")
-    run.add_argument("--spares", type=int, default=None,
-                     help="pre-provisioned spare objects (default: one per --repair)")
-    run.add_argument("--xfer-quorum", type=int, default=None,
-                     help="objects a state-transfer read must reach (default: S-t)")
     run.add_argument("--trials", type=int, default=3)
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--ops", type=int, default=10, help="operations per trial")
     run.add_argument("--reads", type=float, default=0.6, help="read fraction")
     run.add_argument("--spacing", type=int, default=50, help="mean gap between invocations")
-    run.add_argument("--check", action="append", default=None,
-                     help="consistency check to run (repeatable; default: the protocol's own)")
-    run.add_argument("--check-model", dest="check_model", default=None,
-                     choices=("atomic", "regular", "safe", "k-atomic"),
-                     help="consistency model to check against "
-                          "(shorthand for --check; see list-checkers)")
-    run.add_argument("--k", type=int, default=None,
-                     help="staleness bound for --check-model/--check k-atomic")
+    _add_check_flags(run)
     run.add_argument("--parallel", action="store_true",
                      help="execute trials on a process pool (identical results)")
     run.add_argument("--workers", type=int, default=None,
@@ -801,84 +853,18 @@ def main(argv: list[str] | None = None) -> int:
         "explore",
         help="bounded model check over held-message schedules",
     )
-    explore.add_argument("--protocol", required=True,
-                         help="registry name (see list-protocols)")
-    explore.add_argument("--backend", default=None,
-                         help="system backend (default: the protocol's own)")
-    explore.add_argument("--keys", type=int, default=None,
-                         help="key count for keyed backends")
-    explore.add_argument("--writers", dest="writers_count", type=int, default=None,
-                         help="writer family size for multi-writer backends")
-    explore.add_argument("--engine", choices=("event", "batched"), default="event",
-                         help="simulation engine schedules are evaluated on")
-    explore.add_argument("--durability", choices=("none", "mem", "dir"), default="none",
-                         help="object-state durability backing crash-recover faults")
-    explore.add_argument("--consistency", default="atomic", metavar="MODEL",
-                         help="consistency model the backend serves: atomic "
-                              "(default) or k-atomic(N)")
-    explore.add_argument("--t", type=int, default=1, help="fault threshold")
-    explore.add_argument("--S", type=int, default=None,
-                         help="object count (default: protocol minimum)")
-    explore.add_argument("--readers", type=int, default=2, help="reader population")
-    explore.add_argument("--scenario", default=None,
-                         help="named scenario (fault plan + workload shape)")
-    explore.add_argument("--faults", default=None,
-                         help="fault behaviour name (e.g. crash, stale-echo)")
-    explore.add_argument("--count", type=int, default=1, help="how many objects misbehave")
-    explore.add_argument("--fault-arg", dest="fault_arg", action="append", default=None,
-                         metavar="KEY=VALUE",
-                         help="fault-behaviour parameter (repeatable)")
-    explore.add_argument("--strict", action="store_true",
-                         help="error instead of clamping --count to t")
-    explore.add_argument("--allow-overfault", action="store_true",
-                         help="permit more than t faulty objects (under-provisioned runs)")
-    explore.add_argument("--repair", action="append", default=None, metavar="MEMBER@AT",
-                         help="replace member MEMBER with a spare at time AT "
-                              "(repeatable; needs --backend reconfig)")
-    explore.add_argument("--spares", type=int, default=None,
-                         help="pre-provisioned spare objects (default: one per --repair)")
-    explore.add_argument("--xfer-quorum", type=int, default=None,
-                         help="objects a state-transfer read must reach (default: S-t)")
-    explore.add_argument("--ops", type=int, default=3, help="operations in the workload")
-    explore.add_argument("--reads", type=float, default=0.6, help="read fraction")
-    explore.add_argument("--spacing", type=int, default=50,
-                         help="mean gap between invocations")
-    explore.add_argument("--op", action="append", default=None,
-                         metavar="KIND:ARG@TIME",
-                         help="explicit operation plan entry (repeatable; "
-                              "write:VALUE@TIME or read:READER@TIME; "
-                              "overrides the generated workload)")
-    explore.add_argument("--seed", type=int, default=0, help="workload seed")
-    explore.add_argument("--check", action="append", default=None,
-                         help="consistency check (repeatable; default: the protocol's own)")
-    explore.add_argument("--check-model", dest="check_model", default=None,
-                         choices=("atomic", "regular", "safe", "k-atomic"),
-                         help="consistency model to check against "
-                              "(shorthand for --check; see list-checkers)")
-    explore.add_argument("--k", type=int, default=None,
-                         help="staleness bound for --check-model/--check k-atomic")
+    _add_shape_flags(explore)
+    _add_search_flags(explore)
+    _add_check_flags(explore)
     explore.add_argument("--max-holds", type=int, default=2,
                          help="most links a schedule may hold")
     explore.add_argument("--max-schedules", type=int, default=2000,
                          help="total schedule budget")
-    explore.add_argument("--max-events", type=int, default=200_000,
-                         help="simulator event budget per schedule")
-    explore.add_argument("--granularity", choices=("operation", "round"),
-                         default="operation", help="hold-link granularity")
-    explore.add_argument("--strategy", choices=("bfs", "dfs"), default="bfs",
-                         help="frontier order")
     explore.add_argument("--fault-timing", dest="fault_timing", action="store_true",
                          help="sweep per-object fault trigger points as "
                               "choice points (needs --faults, no --scenario)")
-    explore.add_argument("--symmetry", action="store_true",
-                         help="canonicalize schedules over interchangeable "
-                              "fault-free objects (prunes symmetric twins)")
     explore.add_argument("--stop-on-violation", action="store_true",
                          help="stop at the first violating schedule (refutation mode)")
-    explore.add_argument("--parallel", action="store_true",
-                         help="evaluate frontier waves on a process pool")
-    explore.add_argument("--workers", type=int, default=None,
-                         help="process-pool size with --parallel")
     explore.add_argument("--witness", default=None, metavar="PATH",
                          help="save the first violation witness as JSON to PATH")
     explore.add_argument("--expect-violation", action="store_true",
@@ -888,69 +874,18 @@ def main(argv: list[str] | None = None) -> int:
         "frontier",
         help="certify the strongest consistency model a configuration serves",
     )
-    frontier.add_argument("--protocol", required=True,
-                          help="registry name (see list-protocols)")
-    frontier.add_argument("--backend", default=None,
-                          help="system backend (default: the protocol's own)")
-    frontier.add_argument("--keys", type=int, default=None,
-                          help="key count for keyed backends")
-    frontier.add_argument("--writers", dest="writers_count", type=int, default=None,
-                          help="writer family size for multi-writer backends")
-    frontier.add_argument("--engine", choices=("event", "batched"), default="event",
-                          help="simulation engine schedules are evaluated on")
-    frontier.add_argument("--durability", choices=("none", "mem", "dir"), default="none",
-                          help="object-state durability backing crash-recover faults")
-    frontier.add_argument("--t", type=int, default=1, help="fault threshold")
-    frontier.add_argument("--S", type=int, default=None,
-                          help="object count (default: protocol minimum)")
-    frontier.add_argument("--readers", type=int, default=2, help="reader population")
-    frontier.add_argument("--faults", default=None,
-                          help="fault behaviour name (e.g. stale-echo, timed)")
-    frontier.add_argument("--count", type=int, default=1,
-                          help="how many objects misbehave")
-    frontier.add_argument("--fault-arg", dest="fault_arg", action="append",
-                          default=None, metavar="KEY=VALUE",
-                          help="fault-behaviour parameter (repeatable; e.g. "
-                               "--fault-arg inner=stale-echo --fault-arg at=99)")
-    frontier.add_argument("--strict", action="store_true",
-                          help="error instead of clamping --count to t")
-    frontier.add_argument("--allow-overfault", action="store_true",
-                          help="permit more than t faulty objects "
-                               "(under-provisioned runs degrade gracefully)")
-    frontier.add_argument("--ops", type=int, default=3,
-                          help="operations in the generated workload")
-    frontier.add_argument("--reads", type=float, default=0.6, help="read fraction")
-    frontier.add_argument("--spacing", type=int, default=50,
-                          help="mean gap between invocations")
-    frontier.add_argument("--op", action="append", default=None,
-                          metavar="KIND:ARG@TIME",
-                          help="explicit operation plan entry (repeatable; "
-                               "write:VALUE@TIME or read:READER@TIME; "
-                               "overrides the generated workload)")
-    frontier.add_argument("--seed", type=int, default=0, help="workload seed")
+    _add_shape_flags(frontier)
+    _add_search_flags(frontier)
     frontier.add_argument("--max-k", type=int, default=4,
                           help="deepest k-atomic(k) rung on the ladder")
     frontier.add_argument("--max-holds", type=int, default=2,
                           help="most decisions a schedule may take")
     frontier.add_argument("--max-schedules", type=int, default=2000,
                           help="schedule budget per ladder rung")
-    frontier.add_argument("--max-events", type=int, default=200_000,
-                          help="simulator event budget per schedule")
-    frontier.add_argument("--granularity", choices=("operation", "round"),
-                          default="operation", help="hold-link granularity")
-    frontier.add_argument("--strategy", choices=("bfs", "dfs"), default="bfs",
-                          help="frontier order")
     frontier.add_argument("--no-fault-timing", dest="no_fault_timing",
                           action="store_true",
                           help="do not sweep fault trigger points "
                                "(facade-scheduled timing only)")
-    frontier.add_argument("--symmetry", action="store_true",
-                          help="canonicalize schedules over interchangeable "
-                               "fault-free objects")
-    frontier.add_argument("--parallel", action="store_true",
-                          help="evaluate frontier waves on a process pool")
-    frontier.add_argument("--workers", type=int, default=None,
-                          help="process-pool size with --parallel")
     frontier.add_argument("--witness", default=None, metavar="PATH",
                           help="save the refutation witness (the schedule "
                                "breaking the next-stronger model) to PATH")
@@ -978,8 +913,11 @@ def main(argv: list[str] | None = None) -> int:
         "stats", help="summarize a span dump written by run --spans"
     )
     stats.add_argument("spans_file", help="spans .jsonl written by run --spans")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _build_parser().parse_args(argv)
     handlers = {
         "summary": _cmd_summary,
         "read-bound": _cmd_read_bound,

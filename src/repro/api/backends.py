@@ -51,17 +51,21 @@ DEFAULT_SHARD_KEYS = ("k1", "k2")
 
 @dataclass(frozen=True, slots=True)
 class BackendRequest:
-    """Picklable description of the system one trial needs.
+    """The one system-shape record; a new axis is one field here plus one
+    flag in the shared CLI helper.
 
-    Everything here is plain data so :class:`~repro.api.cluster.TrialSpec`
-    can carry it across process boundaries; the stateful pieces (fault
+    :class:`~repro.api.cluster.Cluster`, its
+    :class:`~repro.api.cluster.TrialSpec`, the explorer's
+    :class:`~repro.explore.engine.ScheduleProbe` and witness JSON all carry
+    this record rather than copies of its fields.  Everything here is plain
+    data so it crosses process boundaries; the stateful pieces (fault
     behaviours, protocol instances) are created fresh per build.
     """
 
     t: int = 1
     S: int | None = None
     n_readers: int = 2
-    n_writers: int = 2
+    n_writers: int = 1
     keys: tuple[str, ...] = ()
     allow_overfault: bool = False
     protocol_kwargs: tuple[tuple[str, Any], ...] = ()
@@ -144,34 +148,18 @@ class SystemBackend(ABC):
 
 
 class SingleRegisterBackend(SystemBackend):
-    """The default backend: one SWMR register on a ``RegisterSystem``."""
+    """One SWMR register: the default ``RegisterSystem`` or, for the
+    ``reconfig`` backend, a membership that advances through epochs (its
+    repair steps are armed by the wrapped system at ``run`` time)."""
+
+    def __init__(self, system: Any, name: str = "single") -> None:
+        super().__init__(system)
+        self.name = name
 
     def schedule(self, plan: OperationPlan) -> None:
         if plan.key is not None:
             raise ConfigurationError(
-                "the single backend holds one register — keyed plans need backend='sharded'"
-            )
-        if plan.kind == "write":
-            self.system.write(plan.value, at=plan.at)
-        else:
-            self.system.read(plan.client_index, at=plan.at)
-
-    def histories(self) -> dict[str, History]:
-        return {DEFAULT_KEY: self.system.history()}
-
-
-class ReconfigBackend(SystemBackend):
-    """One SWMR register on a membership that advances through epochs.
-
-    Plan routing matches the single backend; the repair steps carried by
-    the build request are armed by the wrapped system at ``run`` time, so
-    they ride behind the client plans in serial order.
-    """
-
-    def schedule(self, plan: OperationPlan) -> None:
-        if plan.key is not None:
-            raise ConfigurationError(
-                "the reconfig backend holds one register — keyed plans need "
+                f"the {self.name} backend holds one register — keyed plans need "
                 "backend='sharded'"
             )
         if plan.kind == "write":
@@ -538,7 +526,7 @@ def _build_reconfig(
         spares=request.spares,
         xfer_quorum=request.xfer_quorum,
     )
-    return ReconfigBackend(system)
+    return SingleRegisterBackend(system, name="reconfig")
 
 
 def _build_k_atomic(

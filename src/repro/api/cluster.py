@@ -50,7 +50,7 @@ import statistics
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.analysis.metrics import measure_backend_latency
@@ -443,10 +443,12 @@ class TrialSpec:
     :attr:`TrialResult.seed` (None for explicit schedules, which replay the
     same plan every trial).
 
+    ``system`` is the :class:`~repro.api.backends.BackendRequest` the
+    backend builds from, with the key layout and writer family resolved;
     ``backend`` names the system backend (registry of
-    :mod:`repro.api.backends`); ``keys``/``n_writers``/``key_skew`` describe
-    the key layout and writer family — all plain data, so sharded and
-    multi-writer trials pickle and parallelize exactly like single ones.
+    :mod:`repro.api.backends`) and ``key_skew`` shapes the keyed workload —
+    all plain data, so sharded and multi-writer trials pickle and
+    parallelize exactly like single ones.
 
     ``schedule`` carries plan-addressed adversarial skip rules
     (:class:`~repro.faults.schedules.PlannedSkip`, from
@@ -455,11 +457,7 @@ class TrialSpec:
     """
 
     protocol: str
-    protocol_kwargs: tuple[tuple[str, Any], ...]
-    t: int
-    S: int | None
-    n_readers: int
-    allow_overfault: bool
+    system: BackendRequest
     scenario: str | None
     scenario_label: str
     fault_groups: tuple[_FaultGroup, ...]
@@ -473,37 +471,9 @@ class TrialSpec:
     recorded_seed: int | None
     keep_history: bool
     backend: str = "single"
-    keys: tuple[str, ...] = ()
-    n_writers: int = 1
     key_skew: float = 0.0
     schedule: tuple[PlannedSkip, ...] = ()
     keep_trace: bool = False
-    engine: str = "event"
-    durability: str = "none"
-    repairs: tuple[tuple[int, int], ...] = ()
-    spares: int | None = None
-    xfer_quorum: int | None = None
-    consistency: str = "atomic"
-    observe: bool = False
-
-    def backend_request(self) -> BackendRequest:
-        """The build parameters the backend needs, as plain data."""
-        return BackendRequest(
-            t=self.t,
-            S=self.S,
-            n_readers=self.n_readers,
-            n_writers=self.n_writers,
-            keys=self.keys,
-            allow_overfault=self.allow_overfault,
-            protocol_kwargs=self.protocol_kwargs,
-            engine=self.engine,
-            durability=self.durability,
-            repairs=self.repairs,
-            spares=self.spares,
-            xfer_quorum=self.xfer_quorum,
-            consistency=self.consistency,
-            observe=self.observe,
-        )
 
     def plans(self) -> list[OperationPlan]:
         """The operation schedule this trial replays."""
@@ -511,11 +481,11 @@ class TrialSpec:
             return list(self.explicit_plans)
         generator = WorkloadGenerator(
             seed=self.workload_seed,
-            n_readers=self.n_readers,
-            n_writers=self.n_writers,
+            n_readers=self.system.n_readers,
+            n_writers=self.system.n_writers,
             read_fraction=self.read_fraction,
             spacing=self.spacing,
-            keys=self.keys or None,
+            keys=self.system.keys or None,
             key_skew=self.key_skew,
         )
         return generator.plan(self.operations)
@@ -573,6 +543,7 @@ def resolve_trial_policy(
 
 def _run_trial_with(spec: TrialSpec, protocol_spec: ProtocolSpec) -> TrialResult:
     """Execute one trial against an already-resolved protocol spec."""
+    shape = spec.system
     # Operation serials restart at 1 inside the scope, so the recorded
     # history — including the operation ids surfaced in check explanations —
     # is a pure function of the spec, identical in-process and on a worker;
@@ -581,32 +552,32 @@ def _run_trial_with(spec: TrialSpec, protocol_spec: ProtocolSpec) -> TrialResult
     # what makes plan-addressed schedules well-defined: plan k ⇒ serial k.)
     with scoped_operation_serials():
         behaviors = _materialize_behaviors(
-            spec.scenario, spec.fault_groups, spec.t, spec.allow_overfault
+            spec.scenario, spec.fault_groups, shape.t, shape.allow_overfault
         )
         backend = get_backend_spec(spec.backend).build(
             protocol_spec,
-            spec.backend_request(),
+            shape,
             behaviors,
-            resolve_trial_policy(spec.scenario, spec.t, spec.schedule),
+            resolve_trial_policy(spec.scenario, shape.t, spec.schedule),
         )
         report = measure_backend_latency(backend, spec.plans(), scenario=spec.scenario_label)
         histories = backend.histories()
         verdicts = {name: run_check(name, histories) for name in spec.checks}
         storage = None
-        if spec.durability != "none":
+        if shape.durability != "none":
             # Meter the durable journals once the trial is quiescent; the
             # report is plain data, a pure function of the delivered message
             # sequence, so it is byte-identical across engines and across
             # serial/parallel execution like everything else in the result.
             storage = SpaceMeter(backend.system.storage).measure()
         staleness = None
-        if spec.consistency != "atomic":
+        if shape.consistency != "atomic":
             # Measure the lag the served reads actually exhibited.  A pure
             # function of the recorded histories, so it shares their
             # engine/parallel byte-identity.
             staleness = staleness_distribution(histories)
         obs = None
-        if spec.observe:
+        if shape.observe:
             # Derive spans and metrics from the engine's bookkeeping, after
             # the run.  Everything except elapsed_s is a pure function of
             # the spec — byte-identical across engines and serial/parallel
@@ -615,7 +586,7 @@ def _run_trial_with(spec: TrialSpec, protocol_spec: ProtocolSpec) -> TrialResult
 
             spans = derive_spans(backend.simulator, backend.trace)
             lag_samples: list[int] = []
-            if spec.consistency != "atomic":
+            if shape.consistency != "atomic":
                 lag_samples = [
                     s for s in read_staleness(backend.history()) if s is not None
                 ]
@@ -788,11 +759,20 @@ class Cluster:
             raise ConfigurationError("t must be non-negative")
         if n_readers < 1:
             raise ConfigurationError("need at least one reader")
-        self._t = t
-        self._S = S
-        self._n_readers = n_readers
-        self._allow_overfault = allow_overfault
-        self._protocol_kwargs = dict(protocol_kwargs)
+        #: The system shape, minus the key layout and writer family: those
+        #: stay intent (``_keys``/``_n_writers``) until the backend resolves
+        #: them in :meth:`_backend_request`.
+        self._system = BackendRequest(
+            t=t,
+            S=S,
+            n_readers=n_readers,
+            allow_overfault=allow_overfault,
+            protocol_kwargs=tuple(sorted(protocol_kwargs.items())),
+            engine=self._validate_engine(engine),
+            durability=resolve_durability(durability),
+            consistency=parse_consistency(consistency),
+            observe=bool(observe),
+        )
         self._fault_groups: tuple[_FaultGroup, ...] = ()
         self._scenario: Scenario | None = None
         self._read_fraction = 0.6
@@ -805,14 +785,7 @@ class Cluster:
         self._n_writers: int | None = None
         self._key_skew = 0.0
         self._schedule: tuple[PlannedSkip, ...] = ()
-        self._engine = self._validate_engine(engine)
-        self._durability = resolve_durability(durability)
-        self._repairs: tuple[tuple[int, int], ...] = ()
-        self._spares: int | None = None
-        self._xfer_quorum: int | None = None
-        self._observe = bool(observe)
-        self._consistency = parse_consistency(consistency)
-        if backend is None and self._consistency != "atomic":
+        if backend is None and self._system.consistency != "atomic":
             # A bound implies the bounded-stale wrapper whenever the
             # protocol's own backend is one it can wrap; anything else
             # (multi-writer stacks, reconfig) fails in _apply_consistency.
@@ -833,6 +806,12 @@ class Cluster:
 
     def _clone(self) -> "Cluster":
         return copy.copy(self)
+
+    def _reshaped(self, **changes: Any) -> "Cluster":
+        """A clone whose system record has ``changes`` applied."""
+        clone = self._clone()
+        clone._system = replace(self._system, **changes)
+        return clone
 
     # ------------------------------------------------------------------ #
     # Backend resolution
@@ -874,16 +853,19 @@ class Cluster:
         the model they were served under.
         """
         name = self.backend_spec.name
-        if self._consistency == "atomic":
+        consistency = self._system.consistency
+        if consistency == "atomic":
             if name == "k-atomic":
-                self._consistency = parse_consistency("k-atomic")
+                self._system = replace(
+                    self._system, consistency=parse_consistency("k-atomic")
+                )
             return
         if name in ("single", "sharded"):
             self._backend = "k-atomic"
             return
         if name != "k-atomic":
             raise ConfigurationError(
-                f"consistency {self._consistency!r} needs the k-atomic backend "
+                f"consistency {consistency!r} needs the k-atomic backend "
                 f"(or a single/sharded layout it can wrap); backend {name!r} "
                 "serves atomic reads only"
             )
@@ -967,9 +949,7 @@ class Cluster:
         observable results (byte-identical :meth:`RunResult.to_dict` apart
         from the ``engine`` metadata tag), faster execution.
         """
-        clone = self._clone()
-        clone._engine = self._validate_engine(engine)
-        return clone
+        return self._reshaped(engine=self._validate_engine(engine))
 
     def with_durability(self, durability: str) -> "Cluster":
         """Select the durability seam every trial's objects persist through.
@@ -981,9 +961,7 @@ class Cluster:
         crash-recover fault family, and attach a per-trial
         :class:`~repro.storage.SpaceMeter` report to the results.
         """
-        clone = self._clone()
-        clone._durability = resolve_durability(durability)
-        return clone
+        return self._reshaped(durability=resolve_durability(durability))
 
     def with_consistency(self, consistency: str) -> "Cluster":
         """Select the consistency model the cluster serves.
@@ -997,8 +975,7 @@ class Cluster:
         backend keeps that backend's default bound — drop the backend via
         ``with_backend("single")`` first to serve atomic reads again.
         """
-        clone = self._clone()
-        clone._consistency = parse_consistency(consistency)
+        clone = self._reshaped(consistency=parse_consistency(consistency))
         clone._apply_consistency()
         return clone
 
@@ -1012,9 +989,7 @@ class Cluster:
         :meth:`TrialResult.to_dict`.  Off (the default), results are
         byte-identical to an unobserved cluster's.
         """
-        clone = self._clone()
-        clone._observe = bool(observe)
-        return clone
+        return self._reshaped(observe=bool(observe))
 
     def with_schedule(self, *steps: PlannedSkip | tuple) -> "Cluster":
         """Install plan-addressed adversarial skip rules (stacking).
@@ -1067,7 +1042,7 @@ class Cluster:
 
     def with_scenario(self, name: str) -> "Cluster":
         """Adopt a named scenario: its fault plan *and* workload shape."""
-        scenario = get_scenario(name, self._t)
+        scenario = get_scenario(name, self._system.t)
         clone = self._clone()
         clone._scenario = scenario
         clone._fault_groups = ()
@@ -1076,7 +1051,7 @@ class Cluster:
         if scenario.fault_plan.overfault:
             # Fleet-wide plans (rolling restarts) deliberately exceed t —
             # the scenario opts in so the behaviour budget isn't clamped.
-            clone._allow_overfault = True
+            clone._system = replace(clone._system, allow_overfault=True)
         return clone
 
     def with_repairs(
@@ -1118,13 +1093,12 @@ class Cluster:
             raise ConfigurationError("spares must be non-negative")
         if xfer_quorum is not None and xfer_quorum < 1:
             raise ConfigurationError("xfer_quorum must be at least 1")
-        clone = self._clone()
-        clone._repairs = self._repairs + tuple(compiled)
+        changes: dict[str, Any] = {"repairs": self._system.repairs + tuple(compiled)}
         if spares is not None:
-            clone._spares = spares
+            changes["spares"] = spares
         if xfer_quorum is not None:
-            clone._xfer_quorum = xfer_quorum
-        return clone
+            changes["xfer_quorum"] = xfer_quorum
+        return self._reshaped(**changes)
 
     def with_workload(
         self,
@@ -1171,7 +1145,7 @@ class Cluster:
         every trial.
         """
         plans: list[OperationPlan] = []
-        readers = reader_ids(self._n_readers)
+        readers = reader_ids(self._system.n_readers)
         for entry in operations:
             if not isinstance(entry, OperationPlan):
                 kind, arg, at, *rest = entry
@@ -1232,8 +1206,8 @@ class Cluster:
         behaviors = _materialize_behaviors(
             self._scenario.name if self._scenario is not None else None,
             self._fault_groups,
-            self._t,
-            self._allow_overfault,
+            self._system.t,
+            self._system.allow_overfault,
         )
         if self._scenario is not None:
             plan = self._scenario.fault_plan
@@ -1259,7 +1233,7 @@ class Cluster:
             return list(self._explicit_plans)
         generator = WorkloadGenerator(
             seed=seed,
-            n_readers=self._n_readers,
+            n_readers=self._system.n_readers,
             n_writers=self._writer_count(),
             read_fraction=self._read_fraction,
             spacing=self._spacing,
@@ -1269,21 +1243,9 @@ class Cluster:
         return generator.plan(self._operations)
 
     def _backend_request(self) -> BackendRequest:
-        return BackendRequest(
-            t=self._t,
-            S=self._S,
-            n_readers=self._n_readers,
-            n_writers=self._writer_count(),
-            keys=self._key_names(),
-            allow_overfault=self._allow_overfault,
-            protocol_kwargs=tuple(sorted(self._protocol_kwargs.items())),
-            engine=self._engine,
-            durability=self._durability,
-            repairs=self._repairs,
-            spares=self._spares,
-            xfer_quorum=self._xfer_quorum,
-            consistency=self._consistency,
-            observe=self._observe,
+        """The system record with the key layout and writer family resolved."""
+        return replace(
+            self._system, keys=self._key_names(), n_writers=self._writer_count()
         )
 
     def _require_scenario_durability(self) -> None:
@@ -1297,7 +1259,7 @@ class Cluster:
         if (
             self._scenario is not None
             and self._scenario.requires_durability
-            and self._durability == "none"
+            and self._system.durability == "none"
         ):
             raise ConfigurationError(
                 f"scenario {self._scenario.name!r} replays durable journals "
@@ -1310,7 +1272,7 @@ class Cluster:
         behaviors, _ = self._materialize_faults()
         policy = resolve_trial_policy(
             self._scenario.name if self._scenario is not None else None,
-            self._t,
+            self._system.t,
             self._schedule,
         )
         return self.backend_spec.build(
@@ -1336,14 +1298,11 @@ class Cluster:
         """Compile one picklable :class:`TrialSpec` per trial."""
         explicit = self._explicit_plans is not None
         label = self._scenario_label()
+        system = self._backend_request()
         return [
             TrialSpec(
                 protocol=self._spec.name,
-                protocol_kwargs=tuple(sorted(self._protocol_kwargs.items())),
-                t=self._t,
-                S=self._S,
-                n_readers=self._n_readers,
-                allow_overfault=self._allow_overfault,
+                system=system,
                 scenario=self._scenario.name if self._scenario is not None else None,
                 scenario_label=label,
                 fault_groups=self._fault_groups,
@@ -1357,18 +1316,9 @@ class Cluster:
                 recorded_seed=None if explicit else seed + index,
                 keep_history=keep_history,
                 backend=self.backend_spec.name,
-                keys=self._key_names(),
-                n_writers=self._writer_count(),
                 key_skew=self._key_skew,
                 schedule=self._schedule,
                 keep_trace=keep_trace,
-                engine=self._engine,
-                durability=self._durability,
-                repairs=self._repairs,
-                spares=self._spares,
-                xfer_quorum=self._xfer_quorum,
-                consistency=self._consistency,
-                observe=self._observe,
             )
             for index in range(trials)
         ]
@@ -1386,22 +1336,23 @@ class Cluster:
             raise ConfigurationError("need at least one trial")
         self._require_scenario_durability()
         behaviors, inventory = self._materialize_faults()
-        probe = self.backend_spec.build(self._spec, self._backend_request(), behaviors)
+        system = self._backend_request()
+        probe = self.backend_spec.build(self._spec, system, behaviors)
         result = RunResult(
             protocol=self._spec.name,
             semantics=self._spec.semantics,
-            t=self._t,
+            t=system.t,
             S=probe.S,
-            n_readers=self._n_readers,
+            n_readers=system.n_readers,
             scenario=self._scenario_label(),
             faults=inventory,
             checks=self._checks,
             backend=self.backend_spec.name,
             key_count=len(probe.keys),
-            n_writers=self._writer_count(),
-            engine=self._engine,
-            durability=self._durability,
-            consistency=self._consistency,
+            n_writers=system.n_writers,
+            engine=system.engine,
+            durability=system.durability,
+            consistency=system.consistency,
         )
         return result, self._trial_specs(trials, seed, keep_history, keep_trace)
 
@@ -1454,14 +1405,8 @@ class Cluster:
         checks = self._checks or (self._spec.default_check(),)
         return ScheduleProbe(
             protocol=self._spec.name,
-            protocol_kwargs=tuple(sorted(self._protocol_kwargs.items())),
-            t=self._t,
-            S=self._S,
-            n_readers=self._n_readers,
-            n_writers=self._writer_count(),
-            keys=self._key_names(),
+            system=self._backend_request(),
             backend=self.backend_spec.name,
-            allow_overfault=self._allow_overfault,
             scenario=self._scenario.name if self._scenario is not None else None,
             fault_groups=self._fault_groups,
             schedule=self._schedule,
@@ -1469,13 +1414,6 @@ class Cluster:
             checks=checks,
             granularity=granularity,
             max_events=max_events,
-            engine=self._engine,
-            durability=self._durability,
-            repairs=self._repairs,
-            spares=self._spares,
-            xfer_quorum=self._xfer_quorum,
-            consistency=self._consistency,
-            observe=self._observe,
         )
 
     def explore(

@@ -95,17 +95,21 @@ class ScheduleProbe:
     evaluations fan out over a process pool with byte-identical results.
     ``decisions`` is the only field the frontier varies; everything else is
     the fixed configuration under test.
+
+    ``system`` is the resolved system shape.  Every axis on it is an
+    ordinary explorer input: with a crash-recover fault on a durable
+    medium, held links shift which operation lands in the dark window;
+    reconfig repairs are client operations whose transfer/install messages
+    enter the hold alphabet; a ``k-atomic(N)`` consistency serves the
+    bounded-lag view the checks then certify or refute; and ``observe``
+    only arms bookkeeping, so outcomes and fingerprints are unchanged.
+    Both engines produce byte-identical outcomes, so certificates and
+    witnesses transfer between them.
     """
 
     protocol: str
-    protocol_kwargs: tuple[tuple[str, Any], ...]
-    t: int
-    S: int | None
-    n_readers: int
-    n_writers: int
-    keys: tuple[str, ...]
+    system: BackendRequest
     backend: str
-    allow_overfault: bool
     scenario: str | None
     fault_groups: tuple[Any, ...]  # cluster._FaultGroup entries
     schedule: tuple[PlannedSkip, ...]
@@ -117,50 +121,6 @@ class ScheduleProbe:
     #: object behaviours, holds to the delivery policy.
     decisions: tuple[Decision, ...] = ()
     max_events: int = 200_000
-    #: Simulation engine schedules are evaluated on.  Both engines produce
-    #: byte-identical outcomes (same failures, same events count, same wire
-    #: trace fingerprint), so certificates and witnesses transfer.
-    engine: str = "event"
-    #: Durability seam the probed systems persist through.  With a
-    #: crash-recover fault configured, every held link shifts which
-    #: operation's messages land in the dark window — recovery *timing*
-    #: is an ordinary explorer choice point, so stale-rejoin violations
-    #: minimize to witnesses and clean sweeps certify the configuration.
-    durability: str = "none"
-    #: Membership-repair steps for the reconfig backend.  Repairs are
-    #: client operations, so their transfer/install messages enter the
-    #: hold alphabet like any others — epoch-transition timing relative to
-    #: client rounds is an ordinary explorer choice point.
-    repairs: tuple[tuple[int, int], ...] = ()
-    spares: int | None = None
-    xfer_quorum: int | None = None
-    #: Consistency model the probed backend serves.  A ``k-atomic(N)``
-    #: probe runs the bounded-lag read view, so the explorer can certify
-    #: or refute staleness-bound claims schedule by schedule — checks like
-    #: ``k-atomic(1)`` dispatch through the same registry as any other.
-    consistency: str = "atomic"
-    #: Observability: probed systems arm the span-layer clocks (see
-    #: :mod:`repro.obs`).  Purely additive bookkeeping, so outcomes and
-    #: trace fingerprints are unchanged either way.
-    observe: bool = False
-
-    def backend_request(self) -> BackendRequest:
-        return BackendRequest(
-            t=self.t,
-            S=self.S,
-            n_readers=self.n_readers,
-            n_writers=self.n_writers,
-            keys=self.keys,
-            allow_overfault=self.allow_overfault,
-            protocol_kwargs=self.protocol_kwargs,
-            engine=self.engine,
-            durability=self.durability,
-            repairs=self.repairs,
-            spares=self.spares,
-            xfer_quorum=self.xfer_quorum,
-            consistency=self.consistency,
-            observe=self.observe,
-        )
 
     def with_decisions(self, decisions: Sequence[Decision]) -> "ScheduleProbe":
         return replace(self, decisions=canonical_decisions(decisions))
@@ -237,7 +197,7 @@ def _base_policy(probe: ScheduleProbe) -> DeliveryPolicy | None:
     """
     from repro.api.cluster import resolve_trial_policy
 
-    return resolve_trial_policy(probe.scenario, probe.t, probe.schedule)
+    return resolve_trial_policy(probe.scenario, probe.system.t, probe.schedule)
 
 
 def _apply_fault_triggers(
@@ -298,9 +258,10 @@ def run_schedule(probe: ScheduleProbe) -> ScheduleOutcome:
 
     holds = tuple(d for d in probe.decisions if isinstance(d, HoldLink))
     triggers = tuple(d for d in probe.decisions if isinstance(d, FaultTrigger))
+    system = probe.system
     with scoped_operation_serials():
         behaviors = _materialize_behaviors(
-            probe.scenario, probe.fault_groups, probe.t, probe.allow_overfault
+            probe.scenario, probe.fault_groups, system.t, system.allow_overfault
         )
         _apply_fault_triggers(probe, behaviors, triggers)
         policy = ControlledDelivery(
@@ -309,7 +270,7 @@ def run_schedule(probe: ScheduleProbe) -> ScheduleOutcome:
             granularity=probe.granularity,
         )
         backend = get_backend_spec(probe.backend).build(
-            get_spec(probe.protocol), probe.backend_request(), behaviors, policy
+            get_spec(probe.protocol), system, behaviors, policy
         )
         # A held schedule may block a client forever; that client's later
         # planned invocations are then dropped (a legal partial run), not a
@@ -649,16 +610,17 @@ class Explorer:
         self.symmetry = bool(
             symmetry
             and probe.scenario is None
-            and not probe.repairs
+            and not probe.system.repairs
             and not probe.schedule
-            and probe.spares is None
+            and probe.system.spares is None
         )
         self._relabel_from = 1
         if self.symmetry:
             from repro.api.cluster import _materialize_behaviors
 
             behaviors = _materialize_behaviors(
-                probe.scenario, probe.fault_groups, probe.t, probe.allow_overfault
+                probe.scenario, probe.fault_groups,
+                probe.system.t, probe.system.allow_overfault,
             )
             # Faulted objects occupy s1..s_f (consecutive by construction);
             # everything above is interchangeable.
@@ -875,9 +837,9 @@ class Explorer:
     def _result_shell(self) -> ExploreResult:
         from repro.api.cluster import _materialize_behaviors
 
+        probe, system = self.probe, self.probe.system
         behaviors = _materialize_behaviors(
-            self.probe.scenario, self.probe.fault_groups,
-            self.probe.t, self.probe.allow_overfault,
+            probe.scenario, probe.fault_groups, system.t, system.allow_overfault
         )
         if behaviors:
             faults = ", ".join(
@@ -886,31 +848,31 @@ class Explorer:
             )
         else:
             faults = "fault-free"
-        if self.probe.schedule:
-            faults += " + " + "; ".join(s.describe() for s in self.probe.schedule)
-        backend = get_backend_spec(self.probe.backend)
-        if self.probe.S is not None:
-            size = self.probe.S
+        if probe.schedule:
+            faults += " + " + "; ".join(s.describe() for s in probe.schedule)
+        backend = get_backend_spec(probe.backend)
+        if system.S is not None:
+            size = system.S
         else:
             # The protocol's resilience class gives the default object
             # count; no need to build (and discard) a whole live system
             # just to report it.
-            size = get_spec(self.probe.protocol).min_size(self.probe.t)
+            size = get_spec(probe.protocol).min_size(system.t)
         return ExploreResult(
-            protocol=self.probe.protocol,
+            protocol=probe.protocol,
             backend=backend.name,
-            engine=self.probe.engine,
-            durability=self.probe.durability,
-            t=self.probe.t,
+            engine=system.engine,
+            durability=system.durability,
+            t=system.t,
             S=size,
-            n_readers=self.probe.n_readers,
+            n_readers=system.n_readers,
             faults=faults,
-            checks=self.probe.checks,
-            granularity=self.probe.granularity,
+            checks=probe.checks,
+            granularity=probe.granularity,
             strategy=self.strategy,
             max_holds=self.max_holds,
             max_schedules=self.max_schedules,
-            max_events=self.probe.max_events,
+            max_events=probe.max_events,
             fault_timing=self.fault_timing,
             symmetry=self.symmetry,
         )

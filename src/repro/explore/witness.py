@@ -20,10 +20,11 @@ and the held links — as plain JSON-able data, so it
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Sequence
 
+from repro.api.backends import BackendRequest
 from repro.errors import ConfigurationError
 from repro.explore.controlled import (
     Decision,
@@ -37,6 +38,37 @@ from repro.workloads.generator import OperationPlan
 
 #: Bump when the witness JSON layout changes incompatibly.
 WITNESS_VERSION = 1
+
+
+def _system_to_json(system: BackendRequest) -> dict[str, Any]:
+    """Every system-shape field as JSON: tuples become lists and the
+    ``protocol_kwargs`` pairs a dict."""
+    payload: dict[str, Any] = {}
+    for spec in fields(BackendRequest):
+        value = getattr(system, spec.name)
+        if spec.name == "protocol_kwargs":
+            value = dict(value)
+        elif isinstance(value, tuple):
+            value = [list(item) if isinstance(item, tuple) else item for item in value]
+        payload[spec.name] = value
+    return payload
+
+
+def _system_from_json(data: dict[str, Any]) -> BackendRequest:
+    """The inverse of :func:`_system_to_json`.  An absent key loads as the
+    field's default — the shape every witness recorded before that axis
+    existed ran under — so the corpus stays replayable."""
+    values: dict[str, Any] = {}
+    for spec in fields(BackendRequest):
+        if spec.name not in data:
+            continue
+        value = data[spec.name]
+        if spec.name == "protocol_kwargs":
+            value = tuple(sorted(value.items()))
+        elif isinstance(value, list):
+            value = tuple(tuple(item) if isinstance(item, list) else item for item in value)
+        values[spec.name] = value
+    return BackendRequest(**values)
 
 
 def minimize_decisions(
@@ -141,14 +173,8 @@ class ScheduleWitness:
         return {
             "version": self.version,
             "protocol": probe.protocol,
-            "protocol_kwargs": {key: value for key, value in probe.protocol_kwargs},
             "backend": probe.backend,
-            "t": probe.t,
-            "S": probe.S,
-            "n_readers": probe.n_readers,
-            "n_writers": probe.n_writers,
-            "keys": list(probe.keys),
-            "allow_overfault": probe.allow_overfault,
+            **_system_to_json(probe.system),
             "scenario": probe.scenario,
             "fault_groups": [
                 {
@@ -181,13 +207,6 @@ class ScheduleWitness:
             "checks": list(probe.checks),
             "granularity": probe.granularity,
             "max_events": probe.max_events,
-            "engine": probe.engine,
-            "durability": probe.durability,
-            "repairs": [[member, at] for member, at in probe.repairs],
-            "spares": probe.spares,
-            "xfer_quorum": probe.xfer_quorum,
-            "consistency": probe.consistency,
-            "observe": probe.observe,
             "decisions": [link.to_json() for link in self.decisions],
             "discovered": [link.to_json() for link in self.discovered],
             "failures": [list(pair) for pair in self.failures],
@@ -209,14 +228,8 @@ class ScheduleWitness:
         decisions = tuple(decision_from_json(entry) for entry in data["decisions"])
         probe = ScheduleProbe(
             protocol=data["protocol"],
-            protocol_kwargs=tuple(sorted(data.get("protocol_kwargs", {}).items())),
-            t=data["t"],
-            S=data["S"],
-            n_readers=data["n_readers"],
-            n_writers=data.get("n_writers", 1),
-            keys=tuple(data.get("keys", ())),
+            system=_system_from_json(data),
             backend=data.get("backend", "single"),
-            allow_overfault=data.get("allow_overfault", False),
             scenario=data.get("scenario"),
             fault_groups=tuple(
                 _FaultGroup(
@@ -250,22 +263,6 @@ class ScheduleWitness:
             granularity=data.get("granularity", "operation"),
             decisions=decisions,
             max_events=data.get("max_events", 200_000),
-            engine=data.get("engine", "event"),
-            # Absent means the crash-stop objects every pre-durability
-            # witness was recorded against, so the corpus stays replayable.
-            durability=data.get("durability", "none"),
-            # Absent means the static membership every pre-reconfig witness
-            # was recorded against.
-            repairs=tuple(
-                (int(member), int(at)) for member, at in data.get("repairs", ())
-            ),
-            spares=data.get("spares"),
-            xfer_quorum=data.get("xfer_quorum"),
-            # Absent means the atomic reads every pre-spectrum witness was
-            # recorded against.
-            consistency=data.get("consistency", "atomic"),
-            # Absent means unobserved — the only mode pre-obs witnesses had.
-            observe=data.get("observe", False),
         )
         return cls(
             probe=probe,

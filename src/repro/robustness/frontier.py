@@ -328,20 +328,20 @@ def robustness_frontier(
     if refuted is not None and results[refuted].witnesses:
         witness = results[refuted].witnesses[0]
 
+    system = cluster._system
     result = FrontierResult(
         protocol=cluster.spec.name,
         faults=inventory.describe(),
-        t=cluster._t,
-        S=cluster._S if cluster._S is not None
-          else cluster.spec.min_size(cluster._t),
-        engine=cluster._engine,
+        t=system.t,
+        S=system.S if system.S is not None else cluster.spec.min_size(system.t),
+        engine=system.engine,
         ladder=ladder,
         bounds=bounds,
         outcomes={model: _status(res) for model, res in results.items()},
         strongest=strongest,
         refuted=refuted,
         witness=witness,
-        degraded=inventory.effective > cluster._t,
+        degraded=inventory.effective > system.t,
         results=results,
     )
     return result

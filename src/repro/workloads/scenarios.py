@@ -18,7 +18,7 @@ from repro.faults.adversary import CrashAt, SilentBehavior
 from repro.faults.byzantine import FabricatingBehavior, StaleEchoBehavior
 from repro.faults.churn import Flap, RollingRestart
 from repro.sim.network import DeliveryPolicy
-from repro.sim.process import FaultBehavior, ObjectServer
+from repro.sim.process import FaultBehavior
 from repro.types import ProcessId, object_id
 
 
@@ -218,17 +218,3 @@ def standard_scenarios(t: int) -> list[Scenario]:
     fabrication (the unauthenticated worst case).
     """
     return [get_scenario(name, t) for name in _STANDARD_ORDER]
-
-
-def freeze_stale_echo(servers: list[ObjectServer], behaviors: Mapping[ProcessId, FaultBehavior]) -> None:
-    """Re-freeze stale-echo behaviours at the objects' *current* states.
-
-    ``standard_scenarios`` builds :class:`StaleEchoBehavior` with an empty
-    frozen state (objects echo their pristine initial state).  Call this
-    after some writes have landed to model "echo an old-but-genuine state"
-    instead of "echo ⊥".
-    """
-    for pid, behavior in behaviors.items():
-        if isinstance(behavior, StaleEchoBehavior):
-            server = next(s for s in servers if s.pid == pid)
-            behavior.__init__(server.snapshot())  # re-freeze in place

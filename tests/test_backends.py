@@ -18,6 +18,7 @@ from repro.registers.transform_mwmr import (
     MultiWriterRegisterSystem,
     NativeMultiWriterSystem,
 )
+from repro.workloads.generator import OperationPlan
 
 
 def _payload(result) -> str:
@@ -104,6 +105,31 @@ class TestBackendValidation:
             Cluster("abd", backend="sharded", keys=("a", "a"))
         with pytest.raises(ConfigurationError, match="'/'"):
             Cluster("abd", backend="sharded", keys=("a/b",))
+
+
+class TestPlanRouting:
+    """A plan the backend cannot route fails with the backend's name."""
+
+    @staticmethod
+    def _write(key):
+        return OperationPlan(kind="write", client_index=1, value="v", at=0, key=key)
+
+    @pytest.mark.parametrize("protocol,backend", [
+        ("abd", "single"),
+        ("abd", "reconfig"),
+        ("mw-abd", "multi-writer"),
+    ])
+    def test_keyed_plan_on_a_one_register_backend(self, protocol, backend):
+        system = Cluster(protocol, backend=backend).build_backend()
+        with pytest.raises(ConfigurationError,
+                           match=f"the {backend} backend holds one register"):
+            system.schedule(self._write("k1"))
+
+    def test_keyless_plan_on_the_sharded_backend(self):
+        system = Cluster("abd", backend="sharded").build_backend()
+        with pytest.raises(ConfigurationError,
+                           match="the sharded backend needs a key"):
+            system.schedule(self._write(None))
 
 
 class TestMultiWriterBackend:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import _build_parser, _cluster_from_args, main
 
 
 class TestCli:
@@ -315,6 +315,16 @@ class TestFrontierCli:
         assert main(["replay", str(witness)]) == 0
         assert "reproduced byte-identically" in capsys.readouterr().out
 
+    def test_frontier_takes_the_consistency_flag(self, capsys):
+        assert main([
+            "frontier", "--protocol", "abd", "--consistency", "k-atomic(2)",
+            "--op", "write:v1@0", "--op", "read:1@100", "--op", "write:v2@120",
+            "--max-holds", "1", "--expect-strongest", "k-atomic(2)",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "✗ atomicity: refuted" in out
+        assert "21 schedule(s) explored" in out
+
     def test_frontier_expect_mismatch_exits_1(self, capsys):
         assert main(
             ["frontier", *self.TIMED, "--expect-strongest", "atomicity"]
@@ -359,3 +369,29 @@ class TestFrontierCli:
         assert main(["compare", str(a), str(b)]) == 0
         out = capsys.readouterr().out
         assert "compared 0 run(s)" in out and "only in" in out
+
+
+class TestShapeFlagParity:
+    """``run``, ``explore`` and ``frontier`` read one set of shape flags."""
+
+    @pytest.mark.parametrize("flags", [
+        ["--protocol", "abd", "--consistency", "k-atomic(2)", "--readers", "3"],
+        ["--protocol", "abd", "--backend", "reconfig", "--repair", "1@5",
+         "--spares", "2", "--xfer-quorum", "1", "--durability", "mem",
+         "--engine", "batched"],
+        ["--protocol", "mwmr-fast-regular", "--writers", "3", "--faults", "crash"],
+        ["--protocol", "abd", "--backend", "sharded", "--keys", "3", "--t", "2",
+         "--S", "7"],
+        ["--protocol", "abd", "--scenario", "crash-storm", "--durability", "mem"],
+        ["--protocol", "atomic-fast-regular", "--S", "4", "--allow-overfault",
+         "--faults", "timed", "--count", "2", "--fault-arg", "inner=stale-echo",
+         "--fault-arg", "at=99"],
+    ], ids=["consistency", "reconfig", "writers", "sharded", "scenario", "faults"])
+    def test_same_flags_same_system(self, flags):
+        requests = [
+            _cluster_from_args(_build_parser().parse_args([command, *flags]))
+            ._backend_request()
+            for command in ("run", "explore", "frontier")
+        ]
+        assert requests[0] == requests[1] == requests[2]
+        assert requests[0] != type(requests[0])()  # the flags took effect

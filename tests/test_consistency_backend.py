@@ -188,7 +188,7 @@ class TestExplorerSpectrum:
         assert refutation.witnesses, "expected a 1-atomicity violation"
         witness = refutation.witnesses[0]
         assert witness.failures[0][0] == "k-atomic(1)"
-        assert witness.probe.consistency == "k-atomic(2)"
+        assert witness.probe.system.consistency == "k-atomic(2)"
         certification = base.check("k-atomic(2)").explore(max_holds=2)
         assert not certification.witnesses
         assert certification.exhausted

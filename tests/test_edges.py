@@ -43,26 +43,6 @@ class TestConstructionEscapeShape:
         assert "pr1:rd1" in str(escape)
 
 
-class TestScenariosFreeze:
-    def test_freeze_stale_echo_refreezes_at_current_state(self):
-        from repro.faults.byzantine import StaleEchoBehavior
-        from repro.workloads.scenarios import freeze_stale_echo
-
-        system = RegisterSystem(FastRegularProtocol(), t=1, n_readers=1)
-        system.write("a", at=0)
-        system.run()
-        rogue = system.server(object_id(1))
-        behavior = StaleEchoBehavior(frozen_state={})
-        rogue.behavior = behavior
-        freeze_stale_echo(system.servers, {object_id(1): behavior})
-        system.write("b", at=10)
-        system.read(1, at=80)
-        system.run()
-        # The rogue now echoes ("a"), an old-but-genuine state, yet the
-        # read returns the fresh value.
-        assert system.history().reads()[0].value == "b"
-
-
 class TestLinearizationWitnessEdges:
     def test_pending_write_dropped_in_witness(self):
         from repro.spec.history import History, OperationRecord

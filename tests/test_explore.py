@@ -5,7 +5,7 @@ import pickle
 
 import pytest
 
-from repro.api import Cluster, protocol_specs
+from repro.api import BackendRequest, Cluster, protocol_specs
 from repro.errors import ConfigurationError
 from repro.explore import (
     ControlledDelivery,
@@ -118,14 +118,8 @@ class TestRunSchedule:
     def _probe(self, **overrides):
         base = dict(
             protocol="fast-regular",
-            protocol_kwargs=(),
-            t=1,
-            S=4,
-            n_readers=2,
-            n_writers=1,
-            keys=(),
+            system=BackendRequest(t=1, S=4, n_readers=2),
             backend="single",
-            allow_overfault=False,
             scenario=None,
             fault_groups=(),
             schedule=(),

@@ -297,25 +297,19 @@ class TestCommittedTimeline:
 
 class TestWitnessObserveField:
     def test_witness_round_trips_the_observe_flag(self):
+        from repro.api.backends import BackendRequest
         from repro.explore.engine import ScheduleProbe
         from repro.explore.witness import ScheduleWitness
 
         probe = ScheduleProbe(
             protocol="abd",
-            protocol_kwargs=(),
-            t=1,
-            S=None,
-            n_readers=1,
-            n_writers=1,
-            keys=("x",),
+            system=BackendRequest(n_readers=1, keys=("x",), observe=True),
             backend="mem",
-            allow_overfault=False,
             scenario=None,
             fault_groups=(),
             schedule=(),
             plans=(),
             checks=("atomicity",),
-            observe=True,
         )
         witness = ScheduleWitness(
             probe=probe, decisions=(), discovered=(),
@@ -323,6 +317,6 @@ class TestWitnessObserveField:
         )
         data = witness.to_dict()
         assert data["observe"] is True
-        assert ScheduleWitness.from_dict(data).probe.observe is True
+        assert ScheduleWitness.from_dict(data).probe.system.observe is True
         data.pop("observe")
-        assert ScheduleWitness.from_dict(data).probe.observe is False
+        assert ScheduleWitness.from_dict(data).probe.system.observe is False

@@ -181,8 +181,9 @@ class TestExploreCertifiesRepair:
             .explore(max_holds=1)
         )
         witness = result.witnesses[0]
+        system = dataclasses.replace(witness.probe.system, engine=engine)
         witness = dataclasses.replace(
-            witness, probe=dataclasses.replace(witness.probe, engine=engine)
+            witness, probe=dataclasses.replace(witness.probe, system=system)
         )
         assert witness.reproduces()
 

@@ -21,10 +21,12 @@ Regenerating after an *intentional* semantic change::
 from __future__ import annotations
 
 import dataclasses
+import json
 from pathlib import Path
 
 import pytest
 
+from repro.api import BackendRequest
 from repro.explore import FaultTrigger, HoldLink, ScheduleWitness
 from repro.sim.batched import ENGINES
 
@@ -42,13 +44,42 @@ def test_witness_round_trips(path):
     assert ScheduleWitness.from_json(witness.to_json()) == witness
 
 
+def _shape_defaults() -> dict:
+    """Every system-shape key at its default, spelled as witness JSON."""
+    defaults = {f.name: f.default for f in dataclasses.fields(BackendRequest)}
+    defaults["protocol_kwargs"] = dict(defaults["protocol_kwargs"])
+    return json.loads(json.dumps(defaults))
+
+
+@pytest.mark.parametrize("path", WITNESS_FILES, ids=lambda p: p.stem)
+def test_witness_reserializes_to_its_file(path):
+    """Loading and saving a witness changes nothing but absent keys, which
+    come back at their defaults."""
+    stored = json.loads(path.read_text(encoding="utf-8"))
+    reserialized = json.loads(ScheduleWitness.load(path).to_json())
+    assert reserialized == {**_shape_defaults(), **stored}
+
+
+@pytest.mark.parametrize("name", ["timed_double_trigger", "timed_stale_frontier"])
+def test_complete_witness_reserializes_byte_for_byte(name):
+    path = WITNESS_DIR / f"{name}.json"
+    assert ScheduleWitness.load(path).to_json() + "\n" == path.read_text(encoding="utf-8")
+
+
+def test_absent_writer_count_loads_as_one():
+    data = json.loads((WITNESS_DIR / "stale_read.json").read_text(encoding="utf-8"))
+    del data["n_writers"]
+    assert ScheduleWitness.from_dict(data).probe.system.n_writers == 1
+
+
 @pytest.mark.parametrize("path", WITNESS_FILES, ids=lambda p: p.stem)
 @pytest.mark.parametrize("engine", ENGINES)
 def test_witness_reproduces_on_engine(path, engine):
     """The recorded violation replays byte-identically on every engine."""
     witness = ScheduleWitness.load(path)
+    system = dataclasses.replace(witness.probe.system, engine=engine)
     witness = dataclasses.replace(
-        witness, probe=dataclasses.replace(witness.probe, engine=engine)
+        witness, probe=dataclasses.replace(witness.probe, system=system)
     )
     outcome = witness.replay()
     assert outcome.failures == witness.failures, (
@@ -81,7 +112,7 @@ def test_stale_rejoin_witness_shape():
     """
     witness = ScheduleWitness.load(WITNESS_DIR / "stale_rejoin.json")
     assert witness.probe.protocol == "abd"
-    assert witness.probe.durability == "mem"
+    assert witness.probe.system.durability == "mem"
     assert witness.probe.fault_groups and witness.probe.fault_groups[0].fault == "fsync-lag"
     assert len(witness.decisions) == 1
     assert witness.failures and witness.failures[0][0] == "atomicity"
@@ -102,7 +133,7 @@ def test_k1_violation_witness_shape():
     witness = ScheduleWitness.load(WITNESS_DIR / "k1_violation.json")
     assert witness.probe.protocol == "abd"
     assert witness.probe.backend == "k-atomic"
-    assert witness.probe.consistency == "k-atomic(2)"
+    assert witness.probe.system.consistency == "k-atomic(2)"
     assert len(witness.decisions) == 2
     assert witness.failures and witness.failures[0][0] == "k-atomic(1)"
     assert "beyond the k=1 bound" in witness.failures[0][1]
@@ -122,7 +153,7 @@ def test_timed_stale_frontier_witness_shape():
     """
     witness = ScheduleWitness.load(WITNESS_DIR / "timed_stale_frontier.json")
     assert witness.probe.protocol == "atomic-fast-regular"
-    assert witness.probe.allow_overfault
+    assert witness.probe.system.allow_overfault
     faults = {g.fault for g in witness.probe.fault_groups}
     assert faults == {"stale-echo", "timed"}
     holds = [d for d in witness.decisions if isinstance(d, HoldLink)]
@@ -164,8 +195,8 @@ def test_underquorum_transfer_witness_shape():
     witness = ScheduleWitness.load(WITNESS_DIR / "underquorum_transfer.json")
     assert witness.probe.protocol == "abd"
     assert witness.probe.backend == "reconfig"
-    assert witness.probe.repairs == ((1, 5),)
-    assert witness.probe.xfer_quorum == 1
+    assert witness.probe.system.repairs == ((1, 5),)
+    assert witness.probe.system.xfer_quorum == 1
     assert witness.probe.fault_groups and witness.probe.fault_groups[0].fault == "perm-crash"
     assert len(witness.decisions) == 1
     assert witness.failures and witness.failures[0][0] == "atomicity"
